@@ -101,25 +101,30 @@ func (op approxOp) check(res *core.Result) error {
 }
 
 // timedSetup runs setup `times` times and returns the last result with
-// the median set-up time, measured and in reference-host units.
-func timedSetup[T any](times int, setup func() (T, error)) (out T, raw, ref float64, err error) {
+// the median set-up time, measured and in reference-host units. discard,
+// if set, releases each earlier result, outside the timed part.
+func timedSetup[T any](times int, setup func() (T, error), discard func(T)) (out T, raw, ref float64, err error) {
 	var secs, refs []float64
 	for i := 0; i < times; i++ {
-		cal := calibrateMedian(3)
+		if i > 0 && discard != nil {
+			discard(out)
+		}
+		cs := newCalSpans(3)
 		t := time.Now()
 		v, err := setup()
+		d := since(t)
 		if err != nil {
 			return out, 0, 0, err
 		}
-		secs = append(secs, since(t))
-		refs = append(refs, toRef(since(t), cal))
+		secs = append(secs, d)
+		refs = append(refs, toRef(d, cs.next()))
 		out = v
 	}
 	return out, median(secs), median(refs), nil
 }
 
 func runApprox(cfg config) (*run, error) {
-	ops, setupRaw, setupS, err := timedSetup(approxSetups, func() ([]approxOp, error) { return approxSetup(cfg.Seed) })
+	ops, setupRaw, setupS, err := timedSetup(approxSetups, func() ([]approxOp, error) { return approxSetup(cfg.Seed) }, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -131,20 +136,23 @@ func runApprox(cfg config) (*run, error) {
 	if cfg.Trace {
 		return traceApprox(cfg, ops)
 	}
-	r := &run{Values: map[string]float64{"setup_s": setupS}, Raw: map[string]float64{"setup_s": setupRaw}}
-	// Each op is timed next to its own calibration: the host's speed
-	// changes within seconds.
+	r := newRun()
+	r.report("setup_s", setupRaw, setupS)
+	// Each op is converted by the calibrations just before and after it:
+	// the host's speed changes within seconds.
 	var lat, side, cpu timings
 	hp := newHeapPeak()
 	c0 := readCounters()
 	passes := max(1, int(math.Round(cfg.Seconds/approxPassS)))
+	cs := newCalSpans(3)
 	for i := 0; i < passes*len(ops); i++ {
 		op := ops[i%len(ops)]
-		cal := calibrateMedian(3)
 		cpu0, t := cpuTime(), time.Now()
 		res, err := core.Approximate(op.G, op.Mode, core.Options{Seed: op.Seed})
 		d := ms(time.Since(t))
-		cpu.add(ms(cpuTime()-cpu0), cal)
+		opCPU := ms(cpuTime() - cpu0)
+		cal := cs.next()
+		cpu.add(opCPU, cal)
 		r.Attempted++
 		if err == nil {
 			err = op.check(res)
@@ -164,14 +172,13 @@ func runApprox(cfg config) (*run, error) {
 	}
 	n := float64(r.Attempted)
 	ok := float64(r.Attempted - r.Failed)
-	v, raw := r.Values, r.Raw
-	v["peak_heap_mb"] = hp.MB()
-	v["alloc_kb_per_op"] = float64(c1.AllocBytes-c0.AllocBytes) / 1024 / n
-	v["cpu_ms_per_op"], raw["cpu_ms_per_op"] = sum(cpu.Ref)/n, sum(cpu.Raw)/n
-	v["ops_per_s"], raw["ops_per_s"] = 1000*ok/sum(lat.Ref), 1000*ok/sum(lat.Raw)
-	lat.quantile(v, raw, "p50_ms", 0.5)
-	lat.quantile(v, raw, "tail_ms", 0.9)
-	side.quantile(v, raw, "side_p50_ms", 0.5)
+	r.Values["peak_heap_mb"] = hp.MB()
+	r.Values["alloc_kb_per_op"] = float64(c1.AllocBytes-c0.AllocBytes) / 1024 / n
+	r.report("cpu_ms_per_op", sum(cpu.Raw)/n, sum(cpu.Ref)/n)
+	r.report("ops_per_s", 1000*ok/sum(lat.Raw), 1000*ok/sum(lat.Ref))
+	lat.report(r, "p50_ms", 0.5)
+	lat.report(r, "tail_ms", 0.9)
+	side.report(r, "side_p50_ms", 0.5)
 	return r, nil
 }
 

@@ -12,8 +12,8 @@ import (
 // it times, and reports the CPU-bound time metrics in reference-host
 // units: measured × calRefMs / calibration time. A change to the
 // program moves the measured time and not the calibration, so it shows
-// in full; a slower or faster host moves both and cancels. The raw
-// values are printed on the run's "raw" line.
+// in full; a slower or faster host moves both and cancels. A run prints
+// every time metric both ways and reports the converted value.
 
 // calRefMs is the calibration loop's time on the reference host (a
 // 2-vCPU Intel Xeon VM, Go 1.24), so converted values read as
@@ -83,6 +83,27 @@ func calibrateMedian(k int) float64 {
 // ms into reference-host units.
 func toRef(x, cal float64) float64 { return x * calRefMs / cal }
 
+// calSpans calibrates between consecutive spans of work and converts
+// each span by the mean of the calibrations just before and just after
+// it: the host's speed changes within seconds, so one side alone can
+// miss a change during the span.
+type calSpans struct {
+	k    int     // passes per calibration; its median counts
+	last float64 // the calibration that ended the previous span
+}
+
+// newCalSpans calibrates once, ahead of the first span.
+func newCalSpans(k int) *calSpans { return &calSpans{k: k, last: calibrateMedian(k)} }
+
+// next calibrates after a span and returns the calibration time to
+// convert that span by.
+func (c *calSpans) next() float64 {
+	after := calibrateMedian(c.k)
+	cal := (c.last + after) / 2
+	c.last = after
+	return cal
+}
+
 // timings collects measured times with each one's reference-host
 // conversion.
 type timings struct {
@@ -94,10 +115,10 @@ func (t *timings) add(x, cal float64) {
 	t.Ref = append(t.Ref, toRef(x, cal))
 }
 
-// quantile sets v[name] and raw[name] to the q-quantile of the
-// reference-host and the measured times.
-func (t *timings) quantile(v, raw map[string]float64, name string, q float64) {
-	v[name], raw[name] = quantile(t.Ref, q), quantile(t.Raw, q)
+// report records the q-quantile of the measured and the converted
+// times as the run's metric name.
+func (t *timings) report(r *run, name string, q float64) {
+	r.report(name, quantile(t.Raw, q), quantile(t.Ref, q))
 }
 
 // cpuTime is the process's user plus system CPU time so far.

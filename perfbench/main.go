@@ -86,9 +86,22 @@ type run struct {
 	Failed    int
 	Failures  []string // first few failure descriptions, for stderr
 	Values    map[string]float64
-	Raw       map[string]float64 // measured values of the metrics reported in reference-host units
+	Measured  map[string]float64 // every time metric as measured
+	Converted map[string]float64 // every time metric in reference-host units, as reported
 	Table     []selfRow          // traced runs: the reconciled self-time table
 	TableNote string
+}
+
+// newRun returns an empty run.
+func newRun() *run {
+	return &run{Values: map[string]float64{}, Measured: map[string]float64{}, Converted: map[string]float64{}}
+}
+
+// report records a time metric both as measured and in reference-host
+// units; the result takes the converted value.
+func (r *run) report(name string, measured, converted float64) {
+	r.Measured[name], r.Converted[name] = measured, converted
+	r.Values[name] = converted
 }
 
 func (r *run) fail(format string, args ...any) {
@@ -201,9 +214,14 @@ func emit(cfg config, r *run) error {
 	if cfg.Trace {
 		printTable(cfg.Workload, r)
 	}
-	if len(r.Raw) > 0 {
-		raw, _ := json.Marshal(r.Raw) // a map of finite floats always marshals
-		fmt.Printf("raw %s\n", raw)
+	for _, line := range []struct {
+		name string
+		m    map[string]float64
+	}{{"measured", r.Measured}, {"converted", r.Converted}} {
+		if len(line.m) > 0 {
+			raw, _ := json.Marshal(line.m) // a map of finite floats always marshals
+			fmt.Printf("%s %s\n", line.name, raw)
+		}
 	}
 	raw, err := json.Marshal(out)
 	if err != nil {

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -178,25 +176,12 @@ func setMissing(v map[string]float64, name string, x float64) {
 // recorder and over a loopback connection, and a primed sketch-cache
 // hit, on an in-memory daemon holding g.
 func probeDaemon(g *graph.Graph, v map[string]float64) error {
-	srv := svc.New(svc.Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := startDaemon(svc.New(svc.Config{}), 1)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = hs.Serve(ln) // returns ErrServerClosed on Shutdown
-	}()
-	defer func() {
-		_ = hs.Shutdown(context.Background()) // in-memory daemon: nothing to drain
-		<-done
-	}()
-	tr := &http.Transport{MaxConnsPerHost: 1}
-	defer tr.CloseIdleConnections()
-	cl := svc.NewClient("http://" + ln.Addr().String())
-	cl.HTTPClient = &http.Client{Transport: tr}
+	defer d.Close() // in-memory daemon: nothing to drain or lose
+	srv, cl := d.srv, d.cl
 	up, err := cl.UploadRaw(graph.FormatBinary(g), ctBinary)
 	if err != nil {
 		return err

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -24,13 +22,29 @@ import (
 // keys — and one in ten is a cold sketch build on a fresh seeded source
 // set. A capacity step then raises the offered rate until the read p99
 // limit is missed or the backlog grows.
+
+// serveBuildSlowMs bounds a cold build's time at the slowest host speed
+// measured: over five runs on the reference host, at 1.2–1.6× the
+// calibration's reference time, the cold-build p90 was 1.5–2.2 ms (p50
+// 1.2–1.7 ms). The fixed-rate phase offers the rate at which cold
+// builds are in flight 5% of the time at that speed, so the read p90
+// falls among reads that no build overlaps. With builds in flight a
+// fifth to a third of the time (n = 512 graphs at 412 requests/s), the
+// read p90 was inside the overlapped reads, which a slow host starves
+// of CPU: it swung from 0.28 to 2.5 ms between runs of one set.
+const serveBuildSlowMs = 2.0
+
+// serveRate is the offered rate of the fixed-rate phase in requests/s:
+// 250.
+const serveRate = 0.05 / (serveColdShare * serveBuildSlowMs / 1000)
+
 const (
-	serveN          = 512
+	serveN          = 256
 	serveMaxW       = 16
 	serveGraphs     = 4
 	serveWarmKeys   = 2      // primed sketch keys per graph
 	serveCycle      = 4000   // requests in the seeded sequence; 400 distinct cold keys
-	serveRate       = 400.0  // offered requests/s of the fixed-rate phase
+	serveColdShare  = 0.1    // share of cold builds in the request mix (servePattern)
 	serveConns      = 2      // = nproc of the reference host
 	serveLimitMs    = 25.0   // read p99 limit of the capacity step
 	serveCapFrom    = 1600.0 // first offered rate of the capacity step
@@ -43,10 +57,10 @@ const (
 )
 
 // serveD is the unweighted diameter of every serve graph. One family,
-// with Eq. (1)'s r, ℓ and k the same for D from 12 to 16, keeps the
-// cold-build times unimodal, so their p50 sits inside one cluster
-// instead of on the edge between two.
-const serveD = 14
+// with Eq. (1)'s r, ℓ and k the same for D from 14 to 16 at n = 256,
+// keeps the cold-build times unimodal, so their p50 sits inside one
+// cluster instead of on the edge between two.
+const serveD = 15
 
 type reqKind int
 
@@ -82,19 +96,9 @@ type serveReq struct {
 
 // serveEnv is one set-up daemon with its inputs.
 type serveEnv struct {
-	srv    *svc.Server
-	hs     *http.Server
-	done   chan struct{}
-	tr     *http.Transport
-	cl     *svc.Client
+	*daemon
 	graphs []serveGraph
 	seq    []serveReq
-}
-
-func (e *serveEnv) Close() {
-	e.tr.CloseIdleConnections()
-	_ = e.hs.Shutdown(context.Background()) // in-memory daemon: nothing to drain
-	<-e.done
 }
 
 // sourceSet draws r distinct vertices, the expected size of the
@@ -106,19 +110,11 @@ func sourceSet(n, r int, rng *rand.Rand) []int {
 
 func serveSetup(seed int64) (*serveEnv, error) {
 	rng := rand.New(rand.NewSource(seed))
-	env := &serveEnv{srv: svc.New(svc.Config{}), done: make(chan struct{})}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := startDaemon(svc.New(svc.Config{}), serveConns)
 	if err != nil {
 		return nil, err
 	}
-	env.hs = &http.Server{Handler: env.srv}
-	go func() {
-		defer close(env.done)
-		_ = env.hs.Serve(ln) // returns ErrServerClosed on Shutdown
-	}()
-	env.tr = &http.Transport{MaxConnsPerHost: serveConns, MaxIdleConnsPerHost: serveConns}
-	env.cl = svc.NewClient("http://" + ln.Addr().String())
-	env.cl.HTTPClient = &http.Client{Transport: env.tr}
+	env := &serveEnv{daemon: d}
 	ok := false
 	defer func() {
 		if !ok {
@@ -192,6 +188,7 @@ type serveRunner struct {
 	cold  []coldAnswer
 	shed  int
 	heap  *heapPeak
+	clock *realClock
 	trace func(q serveReq) // traced runs: called after each successful warm read
 }
 
@@ -285,7 +282,7 @@ func (sr *serveRunner) checkCold(r *run) {
 
 // step runs one open-loop step and advances the sequence offset past it.
 func (sr *serveRunner) step(rate float64, dur time.Duration) []sample {
-	out := runOpen(realClock{}, rate, dur, serveConns, sr.do)
+	out := runOpen(sr.clock, rate, dur, serveConns, sr.do)
 	sr.base += len(out)
 	return out
 }
@@ -324,46 +321,42 @@ func minOf(xs []int64) int64 {
 }
 
 func runServe(cfg config) (*run, error) {
-	var env *serveEnv
-	var secs, refs []float64
-	for i := 0; i < serveSetups; i++ {
-		if env != nil {
-			env.Close()
-		}
-		cal := calibrateMedian(3)
-		t := time.Now()
-		e, err := serveSetup(cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		secs = append(secs, since(t))
-		refs = append(refs, toRef(since(t), cal))
-		env = e
+	env, setupRaw, setupS, err := timedSetup(serveSetups,
+		func() (*serveEnv, error) { return serveSetup(cfg.Seed) },
+		func(e *serveEnv) { e.Close() })
+	if err != nil {
+		return nil, err
 	}
 	defer env.Close()
-	sr := &serveRunner{env: env, heap: newHeapPeak()}
+	sr := &serveRunner{env: env, heap: newHeapPeak(), clock: &realClock{}}
 	// Warm the connections and the handler paths off the clock.
 	sr.step(serveRate, 250*time.Millisecond)
 	sr.cold = nil
 	if cfg.Trace {
 		return traceServe(cfg, sr)
 	}
-	r := &run{Values: map[string]float64{"setup_s": median(refs)}, Raw: map[string]float64{"setup_s": median(secs)}}
+	r := newRun()
+	r.report("setup_s", setupRaw, setupS)
 	dur := time.Duration(cfg.Seconds * float64(time.Second))
 
-	// The fixed-rate phase runs in chunks, each preceded by a
-	// calibration that converts the chunk's times.
+	// The fixed-rate phase runs in chunks with a calibration between
+	// each two; a chunk's times are converted by the calibrations just
+	// before and after it.
 	var reads, builds, cpu timings
-	var wall float64
+	var wall, spun float64
 	chunks := max(1, int(float64(dur)*serveFixedShare/float64(serveChunk)))
 	c0 := readCounters()
+	cs := newCalSpans(3)
 	for c := 0; c < chunks; c++ {
-		cal := calibrateMedian(3)
 		base := sr.base
-		cpu0, t := cpuTime(), time.Now()
+		spin0, cpu0, t := sr.clock.Spun.Load(), cpuTime(), time.Now()
 		ss := sr.step(serveRate, serveChunk)
 		wall += since(t)
-		cpu.add(ms(cpuTime()-cpu0), cal)
+		// The generator's spin-wait is the harness's, not the program's.
+		spin := ms(time.Duration(sr.clock.Spun.Load() - spin0))
+		spun += spin
+		cal := cs.next()
+		cpu.add(ms(cpuTime()-cpu0)-spin, cal)
 		rs, bs := sr.split(base, ss, r)
 		for _, x := range rs {
 			reads.add(x, cal)
@@ -377,15 +370,18 @@ func runServe(cfg config) (*run, error) {
 		return nil, fmt.Errorf("only %d reads and %d builds: too few for the percentiles", len(reads.Raw), len(builds.Raw))
 	}
 	n := float64(r.Attempted)
-	v, raw := r.Values, r.Raw
+	v := r.Values
 	v["alloc_kb_per_op"] = float64(c1.AllocBytes-c0.AllocBytes) / 1024 / n
-	v["cpu_ms_per_op"], raw["cpu_ms_per_op"] = sum(cpu.Ref)/n, sum(cpu.Raw)/n
 	v["ops_per_s"] = float64(r.Attempted-r.Failed) / wall
-	reads.quantile(v, raw, "p50_ms", 0.5)
-	reads.quantile(v, raw, "tail_ms", 0.9)
-	builds.quantile(v, raw, "side_p50_ms", 0.5)
-	fmt.Printf("serve: fixed-rate reads p99 %.4f ms over %d; cold builds p90 %.4f ms over %d\n",
-		quantile(reads.Raw, 0.99), len(reads.Raw), quantile(builds.Raw, 0.9), len(builds.Raw))
+	// Converting these made their medians agree across sets of runs
+	// taken at different times, which the measured ones did not
+	// (README.md has the runs).
+	r.report("cpu_ms_per_op", sum(cpu.Raw)/n, sum(cpu.Ref)/n)
+	reads.report(r, "p50_ms", 0.5)
+	reads.report(r, "tail_ms", 0.9)
+	builds.report(r, "side_p50_ms", 0.5)
+	fmt.Printf("serve: fixed-rate reads p99 %.4f ms over %d; cold builds p90 %.4f ms over %d; generator spin %.4f ms per request\n",
+		quantile(reads.Raw, 0.99), len(reads.Raw), quantile(builds.Raw, 0.9), len(builds.Raw), spun/n)
 
 	// Capacity, printed but not reported: it swings by more than any
 	// allowed bound between runs on the reference host. Each step is

@@ -124,26 +124,55 @@ type clock interface {
 	SleepUntil(t time.Time)
 }
 
-type realClock struct{}
+// realClock waits for due times to within a few microseconds. The
+// runtime's own timers wake an idle process up to a millisecond late
+// (the netpoller waits in whole milliseconds), which would be most of a
+// warm read's latency at the serve workload's rate. So SleepUntil parks
+// on a runtime timer until a millisecond before the due time and then
+// spins on the clock, yielding to any goroutine that is ready to run at
+// each turn. Spun counts the turns in which nothing else ran, the
+// generator's own cost, so that CPU-time metrics can leave it out.
+type realClock struct {
+	Spun atomic.Int64 // nanoseconds spent spinning
+}
 
-func (realClock) Now() time.Time { return time.Now() }
-func (realClock) SleepUntil(t time.Time) {
-	if d := time.Until(t); d > 0 {
+// spinTurn bounds a turn of the spin in which Gosched ran nothing else.
+const spinTurn = 10 * time.Microsecond
+
+func (*realClock) Now() time.Time { return time.Now() }
+
+func (c *realClock) SleepUntil(t time.Time) {
+	if d := time.Until(t) - time.Millisecond; d > 0 {
 		time.Sleep(d)
 	}
+	var spun time.Duration
+	for {
+		now := time.Now()
+		if !now.Before(t) {
+			break
+		}
+		runtime.Gosched()
+		if d := time.Since(now); d < spinTurn {
+			spun += d
+		}
+	}
+	c.Spun.Add(int64(spun))
 }
 
 // runOpen drives an open loop: request i is due at i/rate after the
-// start, whatever happened to the earlier ones. workers goroutines take
-// due requests in order and send each once its due time has come; when
-// all are busy the next request waits, and its lateness records that.
+// start, whatever happened to the earlier ones. workers goroutines send
+// the requests in schedule order: the free worker that holds the
+// schedule waits for the next due time, sends that request, and hands
+// the schedule on, so only one worker waits at a time. When all are
+// busy the next request waits for one, and its lateness records that.
 // Requests due at or after dur are not sent. do receives the request's
 // index in the schedule.
 func runOpen(c clock, rate float64, dur time.Duration, workers int, do func(i int) error) []sample {
 	interval := time.Duration(float64(time.Second) / rate)
 	n := int(dur / interval)
 	out := make([]sample, n)
-	var next atomic.Int64
+	var schedule sync.Mutex
+	next := 0
 	start := c.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -151,13 +180,17 @@ func runOpen(c clock, rate float64, dur time.Duration, workers int, do func(i in
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1) - 1)
+				schedule.Lock()
+				i := next
 				if i >= n {
+					schedule.Unlock()
 					return
 				}
+				next++
 				due := time.Duration(i) * interval
 				c.SleepUntil(start.Add(due))
 				s := sample{Index: i, Due: due, Start: c.Now().Sub(start)}
+				schedule.Unlock()
 				s.Err = do(i)
 				s.End = c.Now().Sub(start)
 				out[i] = s

@@ -125,11 +125,11 @@ func TestOpenLoopUnderloaded(t *testing.T) {
 }
 
 // TestOpenLoopWorkers: two workers share one schedule; every request
-// is sent exactly once.
+// is sent exactly once, and in schedule order.
 func TestOpenLoopWorkers(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{}
-	ss := runOpen(realClock{}, 2000, 50*time.Millisecond, 2, func(i int) error {
+	ss := runOpen(&realClock{}, 2000, 50*time.Millisecond, 2, func(i int) error {
 		mu.Lock()
 		seen[i]++
 		mu.Unlock()
@@ -142,6 +142,30 @@ func TestOpenLoopWorkers(t *testing.T) {
 		if n != 1 {
 			t.Errorf("request %d sent %d times", i, n)
 		}
+	}
+	for i := 1; i < len(ss); i++ {
+		if ss[i].Start < ss[i-1].Start {
+			t.Errorf("request %d sent at %v, before request %d at %v", i, ss[i].Start, i-1, ss[i-1].Start)
+		}
+	}
+}
+
+// TestRealClockLateness: the runtime's timers alone wake an idle
+// process 0.7 ms late at the median on the reference host; realClock
+// must wake within a tenth of a millisecond of the due time.
+func TestRealClockLateness(t *testing.T) {
+	c := &realClock{}
+	late := make([]float64, 200)
+	for i := range late {
+		due := time.Now().Add(time.Duration(200+10*i) * time.Microsecond)
+		c.SleepUntil(due)
+		late[i] = float64(time.Since(due)) / 1e6
+	}
+	if m := median(late); m > 0.1 {
+		t.Errorf("median lateness %.3f ms, want at most 0.1 ms", m)
+	}
+	if c.Spun.Load() <= 0 {
+		t.Error("spin time not counted")
 	}
 }
 
@@ -233,9 +257,9 @@ func TestReferenceUnits(t *testing.T) {
 	if want := []float64{5, 4, 18}; tm.Ref[0] != want[0] || tm.Ref[1] != want[1] || tm.Ref[2] != want[2] {
 		t.Errorf("reference-host times %v, want %v", tm.Ref, want)
 	}
-	v, raw := map[string]float64{}, map[string]float64{}
-	tm.quantile(v, raw, "p50_ms", 0.5)
-	if v["p50_ms"] != 5 || raw["p50_ms"] != 9 {
-		t.Errorf("p50 %v (raw %v), want 5 (raw 9)", v["p50_ms"], raw["p50_ms"])
+	r := newRun()
+	tm.report(r, "p50_ms", 0.5)
+	if r.Values["p50_ms"] != 5 || r.Measured["p50_ms"] != 9 || r.Converted["p50_ms"] != 5 {
+		t.Errorf("p50 %v (measured %v, converted %v), want 5 (9, 5)", r.Values["p50_ms"], r.Measured["p50_ms"], r.Converted["p50_ms"])
 	}
 }
