@@ -332,7 +332,9 @@ type proxied struct {
 	body   []byte
 }
 
-// forward sends one request to one daemon and buffers the answer.
+// forward sends one request to one daemon and buffers the answer. A
+// client's X-Request-Id goes along, so the daemon logs and echoes the
+// client's ID instead of minting its own.
 func (rt *Router) forward(ctx context.Context, p *peer, method, uri string, hdr http.Header, body []byte) (*proxied, error) {
 	p.forwards.Add(1)
 	req, err := http.NewRequestWithContext(ctx, method, p.url+uri, bytes.NewReader(body))
@@ -340,7 +342,7 @@ func (rt *Router) forward(ctx context.Context, p *peer, method, uri string, hdr 
 		p.errors.Add(1)
 		return nil, err
 	}
-	for _, h := range []string{"Content-Type", "Accept", "X-API-Key"} {
+	for _, h := range []string{"Content-Type", "Accept", "X-API-Key", "X-Request-Id"} {
 		if v := hdr.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}

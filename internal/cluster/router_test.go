@@ -717,3 +717,56 @@ func TestRouterValidation(t *testing.T) {
 		t.Fatalf("write into a dead topology: %d", code)
 	}
 }
+
+// TestRouterForwardsRequestID: a client-supplied X-Request-Id crosses
+// the router hop, so the daemon answers under the client's ID instead
+// of minting a fresh one, for writes and reads alike.
+func TestRouterForwardsRequestID(t *testing.T) {
+	nd := startNode(t, svc.Config{})
+	topo, err := cluster.ParseTopology(nd.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := cluster.NewRouter(cluster.Config{Topology: topo, ProbeEvery: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ts := httptest.NewServer(rt)
+	defer ts.Close()
+	waitUntil(t, 5*time.Second, "seed probe sweep", func() bool {
+		var info cluster.ClusterInfo
+		getJSON(t, ts.URL+"/v1/cluster", &info)
+		return len(info.Shards) == 1 && len(info.Shards[0].Nodes) == 1 && info.Shards[0].Nodes[0].Ready
+	})
+
+	do := func(method, path, body, id string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-Id", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
+			resp.Body.Close()
+			t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Request-Id"); got != id {
+			t.Fatalf("%s %s: daemon answered under X-Request-Id %q, client sent %q", method, path, got, id)
+		}
+		return resp
+	}
+	resp := do(http.MethodPost, "/v1/graphs", `{"edgelist":"n 3\n0 1 2\n1 2 5\n"}`, "client-upload-0001")
+	var up svc.UploadResponse
+	err = json.NewDecoder(resp.Body).Decode(&up)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	do(http.MethodGet, "/v1/graphs/"+up.Digest+"/diameter", "", "client-read-0002").Body.Close()
+}

@@ -33,8 +33,9 @@ type Options struct {
 	Seed int64
 	// Delta is the per-search failure probability; default 1/n².
 	Delta float64
-	// Engine selects the quantum execution engine; default qsim.Sampled
-	// (exact state vectors are available for small domains via qsim.Exact).
+	// Engine selects the quantum execution engine. The zero value is
+	// qsim.Exact, so the default runs exact state vectors; qsim.Sampled
+	// draws outcomes from the closed-form success law instead.
 	Engine qsim.Engine
 	// Sets overrides the number of sampled vertex sets (default n, as in
 	// the paper). Lowering it speeds up experiments at the cost of a

@@ -173,17 +173,35 @@ func (sk *Skeleton) buildRows(workers int) {
 // at most (1+ε)·d. Scale-i values above (1+2T)ℓ belong to larger
 // scales and are pruned inside the kernel, which drains small-scale
 // frontiers after a few hops. Returns the (possibly grown) scratch.
+//
+// The scale loop stops as soon as every entry of the row is finite,
+// and the result is the same as running all i_max+1 scales. For one
+// path P, 2^i·⌈x/2^i⌉ is the least multiple of 2^i that is at least
+// x, so P's scaled value 2^i·Σ⌈w·2Tℓ/2^i⌉ never decreases as i grows.
+// Let i_v be the first scale at which v's value is finite. Then that
+// value is the unpruned minimum of P's scaled value over all ≤ℓ-hop
+// paths P at scale i_v. A later scale's value for v comes from some
+// ≤ℓ-hop path P*, and P* costs at least as much there as at scale i_v,
+// which is at least v's entry. So no later scale lowers the entry, and
+// once all n are settled the remaining sweeps are redundant. Vertices
+// beyond ℓ hops never settle, and then every scale runs. The charged
+// Algorithm 1 schedule (internal/core/cost.go) and the executable
+// RunAlg1 still count all i_max+1 scales.
 func (sk *Skeleton) roundedRowInto(ws *graph.DistWorkspace, scratch, row []int64, src int) []int64 {
 	for v := range row {
 		row[v] = graph.Inf
 	}
-	for i := 0; i <= sk.imax; i++ {
+	settled := 0
+	for i := 0; i <= sk.imax && settled < len(row); i++ {
 		scratch = ws.BoundedHopInto(scratch, src, sk.L, sk.bufs.wden, uint(i), sk.cap64)
 		for v, bh := range scratch {
 			if bh == graph.Inf {
 				continue
 			}
 			if scaled := bh << uint(i); scaled < row[v] {
+				if row[v] == graph.Inf {
+					settled++
+				}
 				row[v] = scaled
 			}
 		}

@@ -66,6 +66,24 @@ func refRoundedBoundedHopDist(g *graph.Graph, src, l int, eps Eps) []int64 {
 	return out
 }
 
+// rowSkeleton returns a bare skeleton over g that carries only what
+// roundedRowInto reads (hop budget, prune bound, scale count and the
+// per-arc numerator overlay), for tests that compute single rows.
+// Release it when done.
+func rowSkeleton(g *graph.Graph, l int, eps Eps) *Skeleton {
+	sk := &Skeleton{
+		G: g, L: l, K: 1, Eps: eps, DenOut: eps.Den(l),
+		cap64: (1 + 2*eps.T) * int64(l),
+		imax:  IMax(g.N(), maxW(g), eps),
+		bufs:  getSkelBuffers(g),
+	}
+	sk.bufs.wden = sk.bufs.ws.ArcWeights(sk.bufs.wden)
+	for a := range sk.bufs.wden {
+		sk.bufs.wden[a] *= sk.DenOut
+	}
+	return sk
+}
+
 // goldenGraphs is the E1–E14 workload family: the deterministic shapes
 // of the unit suites, the random weighted graphs of the scaling and
 // quality experiments (E1–E5), the barbell of the determinism suite,
@@ -92,16 +110,7 @@ func TestGoldenKernelEquivalence(t *testing.T) {
 	for gi, g := range goldenGraphs() {
 		for _, eps := range []Eps{{T: 1}, {T: 4}, EpsForN(g.N())} {
 			for _, l := range []int{1, 2, 5, g.N() / 2, g.N()} {
-				sk := &Skeleton{
-					G: g, L: l, K: 1, Eps: eps, DenOut: eps.Den(l),
-					cap64: (1 + 2*eps.T) * int64(l),
-					imax:  IMax(g.N(), maxW(g), eps),
-					bufs:  getSkelBuffers(g),
-				}
-				sk.bufs.wden = sk.bufs.ws.ArcWeights(sk.bufs.wden)
-				for a := range sk.bufs.wden {
-					sk.bufs.wden[a] *= sk.DenOut
-				}
+				sk := rowSkeleton(g, l, eps)
 				for src := 0; src < g.N(); src += 1 + g.N()/5 {
 					want := refRoundedBoundedHopDist(g, src, l, eps)
 					got := make([]int64, g.N())
@@ -332,16 +341,7 @@ func FuzzRoundedHopDist(f *testing.F) {
 		src := rng.Intn(n)
 		want := refRoundedBoundedHopDist(g, src, l, eps)
 
-		sk := &Skeleton{
-			G: g, L: l, K: 1, Eps: eps, DenOut: eps.Den(l),
-			cap64: (1 + 2*eps.T) * int64(l),
-			imax:  IMax(n, maxW(g), eps),
-			bufs:  getSkelBuffers(g),
-		}
-		sk.bufs.wden = sk.bufs.ws.ArcWeights(sk.bufs.wden)
-		for a := range sk.bufs.wden {
-			sk.bufs.wden[a] *= sk.DenOut
-		}
+		sk := rowSkeleton(g, l, eps)
 		got := make([]int64, n)
 		sk.bufs.scale = sk.roundedRowInto(sk.bufs.ws, sk.bufs.scale, got, src)
 		sk.Release()
@@ -428,5 +428,85 @@ func TestKernelModesSkeletonDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRoundedRowEarlyExitProperty checks the scale-loop early exit of
+// roundedRowInto on random connected weighted graphs over several T, W
+// and hop budgets. With ℓ ≥ n−1 every vertex settles and the exit
+// fires; with a small ℓ some vertices stay unreached and every scale
+// runs. Either way the row must equal the all-scales golden reference.
+// It also asserts the finality lemma behind the exit directly: a
+// vertex's first finite rescaled value is no more than its value at any
+// later scale.
+func TestRoundedRowEarlyExitProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	exitFired, allScales := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		n := 4 + rng.Intn(40)
+		maxw := []int64{1, 5, 16, 100}[trial%4]
+		g := graph.New(n)
+		for v := 1; v < n; v++ {
+			g.MustAddEdge(rng.Intn(v), v, 1+rng.Int63n(maxw))
+		}
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				g.MustAddEdge(u, v, 1+rng.Int63n(maxw))
+			}
+		}
+		for _, eps := range []Eps{{T: 1}, {T: 3}, EpsForN(n)} {
+			for _, l := range []int{n - 1, n + 3, 2} {
+				sk := rowSkeleton(g, l, eps)
+				src := rng.Intn(n)
+				got := make([]int64, n)
+				sk.bufs.scale = sk.roundedRowInto(sk.bufs.ws, sk.bufs.scale, got, src)
+				if want := refRoundedBoundedHopDist(g, src, l, eps); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d (n=%d W=%d T=%d l=%d src=%d): early-exit row diverged\n got %v\nwant %v",
+						trial, n, maxw, eps.T, l, src, got, want)
+				}
+
+				// Finality lemma, scale by scale on a separate workspace.
+				ws := graph.NewDistWorkspace(g)
+				first := make([]int64, n)
+				for v := range first {
+					first[v] = graph.Inf
+				}
+				lastSettle := -1
+				var scratch []int64
+				for i := 0; i <= sk.imax; i++ {
+					scratch = ws.BoundedHopInto(scratch, src, l, sk.bufs.wden, uint(i), sk.cap64)
+					for v, bh := range scratch {
+						if bh == graph.Inf {
+							continue
+						}
+						scaled := bh << uint(i)
+						if first[v] == graph.Inf {
+							first[v] = scaled
+							lastSettle = i
+						} else if scaled < first[v] {
+							t.Fatalf("trial %d (n=%d W=%d T=%d l=%d src=%d): vertex %d first settled at %d, scale %d gives %d",
+								trial, n, maxw, eps.T, l, src, v, first[v], i, scaled)
+						}
+					}
+				}
+				if !reflect.DeepEqual(first, got) {
+					t.Fatalf("trial %d: first finite values differ from the row", trial)
+				}
+				settledAll := true
+				for _, d := range got {
+					settledAll = settledAll && d != graph.Inf
+				}
+				switch {
+				case settledAll && lastSettle < sk.imax:
+					exitFired++
+				case !settledAll:
+					allScales++
+				}
+				sk.Release()
+			}
+		}
+	}
+	if exitFired == 0 || allScales == 0 {
+		t.Fatalf("property cases did not cover both regimes: exit fired %d times, all scales ran %d times", exitFired, allScales)
 	}
 }

@@ -2,6 +2,7 @@ package qsim
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 )
 
@@ -31,15 +32,37 @@ type SearchResult struct {
 // domain and returns the resulting state (Exact engine building block).
 func GroverIterate(domain uint64, marked func(uint64) bool, j int) *State {
 	s := NewUniform(domain)
-	axis := NewUniform(domain)
 	// Padding states above the domain carry zero amplitude; guard the
 	// oracle so predicates defined only on [0, domain) stay safe.
 	guarded := func(x uint64) bool { return x < domain && marked(x) }
 	for it := 0; it < j; it++ {
 		s.OraclePhaseFlip(guarded)
-		s.ReflectAbout(axis)
+		s.reflectAboutUniform(domain)
 	}
 	return s
+}
+
+// reflectAboutUniform is s.ReflectAbout(NewUniform(domain)) without
+// building the axis state: the axis amplitude is 1/√domain below domain
+// and zero on the padding. Both loops keep ReflectAbout's expression
+// order, so the amplitudes are bit-identical to it.
+func (s *State) reflectAboutUniform(domain uint64) {
+	a := complex(1/math.Sqrt(float64(domain)), 0)
+	var inner complex128
+	for x := range s.amp {
+		ax := a
+		if uint64(x) >= domain {
+			ax = 0
+		}
+		inner += cmplx.Conj(ax) * s.amp[x]
+	}
+	for x := range s.amp {
+		ax := a
+		if uint64(x) >= domain {
+			ax = 0
+		}
+		s.amp[x] = 2*inner*ax - s.amp[x]
+	}
 }
 
 // SuccessProbability returns the exact Grover success law

@@ -409,3 +409,38 @@ func TestSuccessProbabilityEdgeCases(t *testing.T) {
 		t.Fatalf("k>n gave %f", p)
 	}
 }
+
+// TestGroverIterateMatchesAxisReflection pins the in-place uniform
+// reflection of GroverIterate bit for bit (padding included) against
+// the explicit reflection about a NewUniform axis state, on
+// power-of-two and other domains and several iteration counts.
+func TestGroverIterateMatchesAxisReflection(t *testing.T) {
+	marks := []func(uint64) bool{
+		func(x uint64) bool { return x == 0 },
+		func(x uint64) bool { return x%3 == 1 },
+		func(x uint64) bool { return x%2 == 0 },
+	}
+	for _, domain := range []uint64{1, 2, 3, 5, 8, 13, 16, 37, 64, 100} {
+		for mi, marked := range marks {
+			for _, j := range []int{0, 1, 2, 3, 5, 9} {
+				got := GroverIterate(domain, marked, j)
+				want := NewUniform(domain)
+				axis := NewUniform(domain)
+				for it := 0; it < j; it++ {
+					want.OraclePhaseFlip(func(x uint64) bool { return x < domain && marked(x) })
+					want.ReflectAbout(axis)
+				}
+				if got.Dim() != want.Dim() {
+					t.Fatalf("domain %d: dim %d, want %d", domain, got.Dim(), want.Dim())
+				}
+				for x := uint64(0); x < uint64(want.Dim()); x++ {
+					g, w := got.Amplitude(x), want.Amplitude(x)
+					if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
+						math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+						t.Fatalf("domain %d, mark %d, j=%d: amp(%d) = %v, want %v", domain, mi, j, x, g, w)
+					}
+				}
+			}
+		}
+	}
+}
