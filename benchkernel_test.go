@@ -1,10 +1,7 @@
-// Kernel-mode benchmarks: the BENCH_kernel.json artifact. Every
-// relaxation engine (sparse push / dense pull / delta-stepping, plus
-// the auto switcher) builds the same skeletons byte-identically — these
-// rows record what each one costs, on the workload family where the
-// differences show: high-degree graphs whose frontiers saturate within
-// a few hops (dense pull territory) versus the sparse-frontier regimes
-// the PR 3 push kernel was tuned for.
+// Distance-kernel benchmarks on the high-degree expander (avg degree
+// 16) whose middle levels cover most of the graph. The skeleton build
+// and E-driver rows live in benchdist_test.go; BENCH_kernel.json keeps
+// the historical per-engine rows.
 package qcongest_test
 
 import (
@@ -12,112 +9,43 @@ import (
 	"math/rand"
 	"testing"
 
-	"qcongest/internal/core"
-	"qcongest/internal/dist"
 	"qcongest/internal/graph"
 )
 
-// kernelWorkload is the fixed BENCH_kernel.json build workload: a
-// high-degree low-diameter graph (avg degree 16) whose frontier covers
-// most of the graph from hop 2 on, weighted so every scale pass of the
-// skeleton build exercises the rounded-weight path. 64 sources, hop
-// budget 64, k = 2, ε = EpsForN(n) — the same shape as the PR 3
-// skeletonWorkload but in the regime where engine choice matters.
-func kernelWorkload(n int) (*graph.Graph, []int, dist.Eps) {
-	rng := rand.New(rand.NewSource(9))
-	g := graph.RandomWeights(graph.LowDiameterExpanderish(n, 16, rng), 16, rng)
-	var s []int
-	for v := 0; v < g.N(); v += g.N() / 64 {
-		s = append(s, v)
-	}
-	return g, s, dist.EpsForN(g.N())
-}
-
-// benchKernelBuild is the steady-state pooled build (arena recycled via
-// Release, exactly as the serving layer recycles it) with the engine
-// pinned through BuildSkeletonOpts.Kernel.
-func benchKernelBuild(b *testing.B, n int, mode graph.KernelMode) {
-	g, s, eps := kernelWorkload(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sk := dist.BuildSkeletonWith(g, s, 64, 2, eps, dist.BuildSkeletonOpts{Workers: 1, Kernel: mode})
-		sk.Release()
-	}
-}
-
-func BenchmarkKernelBuild(b *testing.B) {
-	for _, n := range []int{1024, 8192, 32768} {
-		for _, mode := range graph.KernelModes() {
-			b.Run(fmt.Sprintf("N%d/%s", n, mode), func(b *testing.B) {
-				benchKernelBuild(b, n, mode)
-			})
-		}
-	}
-}
-
-// BenchmarkKernelEDriver is one full Theorem 1.1 diameter approximation
-// (the E2 driver point, Sets=8) per engine — the end-to-end number a
-// -distkernel flag flip changes for cmd/sweep and cmd/table1.
-func BenchmarkKernelEDriver(b *testing.B) {
-	for _, n := range []int{1024, 8192} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := graph.RandomWeights(graph.DiameterControlled(n, 6, rng), 16, rng)
-		for _, mode := range graph.KernelModes() {
-			b.Run(fmt.Sprintf("N%d/%s", n, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Approximate(g, core.DiameterMode, core.Options{Seed: 1, Sets: 8, Kernel: mode}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkKernelBFS isolates the unweighted traversal: the
-// direction-optimizing (top-down/bottom-up) BFS versus the verbatim
-// PR 3 single-queue BFS, on the high-degree expander whose middle
-// levels cover most of the graph — the shape bottom-up pulling exists
-// for. This is the inner loop of UnweightedDiameter/UnweightedRadius
-// (the paper's D parameter), so the per-call ratio is the all-pairs
-// driver ratio.
+// direction-optimizing (top-down/bottom-up) BFS on the shape bottom-up
+// pulling exists for. This is the inner loop of
+// UnweightedDiameter/UnweightedRadius (the paper's D parameter), so the
+// per-call cost is the all-pairs driver cost over n.
 func BenchmarkKernelBFS(b *testing.B) {
 	for _, n := range []int{1024, 8192} {
 		rng := rand.New(rand.NewSource(9))
 		g := graph.LowDiameterExpanderish(n, 16, rng)
 		ws := graph.NewDistWorkspace(g)
 		dst := make([]int64, g.N())
-		for _, mode := range []graph.KernelMode{graph.KernelSparse, graph.KernelAuto} {
-			b.Run(fmt.Sprintf("N%d/%s", n, mode), func(b *testing.B) {
-				ws.SetKernelMode(mode)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ws.BFSInto(dst, i%g.N())
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ws.BFSInto(dst, i%g.N())
+			}
+		})
 	}
 }
 
 // BenchmarkKernelDijkstra pins the single-source weighted query — the
-// inner loop of HopDiameter and the exact-metric memo — where delta
-// mode replaces the binary heap with bucket draining.
+// inner loop of HopDiameter and the exact-metric memo — on the binary
+// heap.
 func BenchmarkKernelDijkstra(b *testing.B) {
 	for _, n := range []int{1024, 8192} {
 		rng := rand.New(rand.NewSource(9))
 		g := graph.RandomWeights(graph.LowDiameterExpanderish(n, 16, rng), 16, rng)
 		ws := graph.NewDistWorkspace(g)
 		var d, h []int64
-		for _, mode := range []graph.KernelMode{graph.KernelSparse, graph.KernelDelta} {
-			b.Run(fmt.Sprintf("N%d/%s", n, mode), func(b *testing.B) {
-				ws.SetKernelMode(mode)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					d, h = ws.DijkstraHopsInto(d, h, i%g.N())
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, h = ws.DijkstraHopsInto(d, h, i%g.N())
+			}
+		})
 	}
 }

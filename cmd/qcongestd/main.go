@@ -50,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"qcongest/internal/graph"
 	"qcongest/internal/svc"
 )
 
@@ -84,7 +83,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		cache        = flag.Int("cache", 64, "sketch cache capacity (skeletons)")
 		distWorkers  = flag.Int("distworkers", 0, "worker fan-out per skeleton build (0 = dist.DefaultSkeletonWorkers)")
-		distKernel   = flag.String("distkernel", "auto", "default sketch relaxation engine: auto, sparse, dense, or delta (requests may pin their own)")
 		buildSlots   = flag.Int("buildslots", 2, "concurrent cold builds (sketch/batch/first-touch metrics)")
 		buildQueue   = flag.Int("buildqueue", 0, "queued cold builds before 503 (0 = 4x buildslots)")
 		querySlots   = flag.Int("queryslots", 256, "concurrent warm reads")
@@ -114,14 +112,9 @@ func main() {
 		log.Fatalf("qcongestd: opening access log: %v", err)
 	}
 
-	kernel, err := graph.ParseKernelMode(*distKernel)
-	if err != nil {
-		log.Fatalf("qcongestd: %v", err)
-	}
 	s, err := svc.Open(svc.Config{
 		CacheCapacity:   *cache,
 		SketchWorkers:   *distWorkers,
-		SketchKernel:    kernel,
 		BuildSlots:      *buildSlots,
 		BuildQueue:      *buildQueue,
 		QuerySlots:      *querySlots,

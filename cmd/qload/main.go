@@ -124,7 +124,6 @@ func main() {
 		expectRe = flag.Bool("expectrestart", false, "assert the workload graph was recovered from a durable data dir, not created fresh")
 		apiKey   = flag.String("apikey", "", "X-API-Key for every request (empty shares the daemon's anonymous bucket)")
 		expectID = flag.Bool("expectreqid", false, "fail the run if any response arrives without an X-Request-Id header")
-		skModes  = flag.String("sketchmode", "", "comma-separated kernel modes for sketch requests (auto, sparse, dense, delta); empty uses the daemon default. With several, warm sketches round-robin the modes and qload asserts their numerators are byte-identical")
 		codecs   = flag.String("codec", "binary", "comma-separated upload codecs for the ingest mix: json, text, binary")
 		edges    = flag.Int("edges", 65536, "ingest workload graph edge count (ingest mix only; nodes = edges/8)")
 		order    = flag.String("order", "sorted", "ingest workload edge insertion order: sorted (the canonical bulk-export layout, where the binary codec omits its permutation section) or random")
@@ -149,18 +148,6 @@ func main() {
 	default:
 		log.Fatalf("qload: unknown -mix %q", *mix)
 	}
-	// modes holds the wire spellings of -sketchmode ("" = daemon
-	// default); every sketch request in the run pins one of them.
-	modes := []string{""}
-	if *skModes != "" {
-		modes = strings.Split(*skModes, ",")
-		for _, m := range modes {
-			if _, err := graph.ParseKernelMode(m); err != nil {
-				log.Fatalf("qload: -sketchmode: %v", err)
-			}
-		}
-	}
-
 	client := svc.NewClient(*addr)
 	client.APIKey = *apiKey
 	client.RequireRequestID = *expectID
@@ -176,32 +163,15 @@ func main() {
 		log.Fatalf("qload: FAILED — expected the daemon to have recovered graph %s from its data dir, but it was created fresh", up.Digest)
 	}
 	digest := up.Digest
-	warmSketch := func(mode string) svc.SketchRequest {
-		return svc.SketchRequest{Sources: []int{0, 1, 2, 3}, L: 8, K: 4, Kernel: mode}
-	}
+	warmSketch := svc.SketchRequest{Sources: []int{0, 1, 2, 3}, L: 8, K: 4}
 
-	// Prime the warm paths so the warm mix measures steady state — one
-	// sketch build per requested kernel mode (distinct cache lines), and
-	// with several modes assert the determinism contract end to end:
-	// same digest + params must answer byte-identical numerators
-	// whatever engine built the sketch.
+	// Prime the warm paths so the warm mix measures steady state.
 	if *mix != "cold" {
 		if _, err := client.Diameter(digest); err != nil {
 			log.Fatalf("qload: priming metrics: %v", err)
 		}
-		var ref svc.SketchResponse
-		for j, m := range modes {
-			resp, err := client.Sketch(digest, warmSketch(m))
-			if err != nil {
-				log.Fatalf("qload: priming sketch (mode %q): %v", m, err)
-			}
-			if j == 0 {
-				ref = resp
-				continue
-			}
-			if resp.Den != ref.Den || !reflect.DeepEqual(resp.Eccentricities, ref.Eccentricities) {
-				log.Fatalf("qload: FAILED — kernel mode %q answered different numerators than mode %q for the same digest+params", m, modes[0])
-			}
+		if _, err := client.Sketch(digest, warmSketch); err != nil {
+			log.Fatalf("qload: priming sketch: %v", err)
 		}
 	}
 
@@ -221,14 +191,13 @@ func main() {
 	}
 
 	// coldSketch derives a distinct source set (hence a distinct cache
-	// key) from the request index; kernel modes round-robin.
+	// key) from the request index.
 	coldSketch := func(i int64) svc.SketchRequest {
 		base := int(i % int64(*n))
 		return svc.SketchRequest{
 			Sources: []int{base, (base + 7) % *n, (base + 13) % *n},
 			L:       8,
 			K:       3,
-			Kernel:  modes[int(i)%len(modes)],
 		}
 	}
 
@@ -255,9 +224,7 @@ func main() {
 			_, err := client.Eccentricity(digest, int(i)%*n)
 			return err
 		default:
-			// Round-robin the primed modes: every requested engine's
-			// cache line stays hot under the warm mix.
-			_, err := client.Sketch(digest, warmSketch(modes[int(i)%len(modes)]))
+			_, err := client.Sketch(digest, warmSketch)
 			return err
 		}
 	}

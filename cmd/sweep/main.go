@@ -6,17 +6,15 @@
 //	-exp=quality     E5: approximation quality vs the (1+ε)² bound
 //	-exp=spineleaf   E14: quantum vs classical on leaf-spine DCN fabrics
 //
-// Four engine knobs apply across experiments: -workers shards every
+// Three engine knobs apply across experiments: -workers shards every
 // simulation's round loop (every scenario, via congest.DefaultWorkers;
 // 0 = sequential), -distworkers fans every skeleton build's per-source
 // distance computations across a worker pool (via
-// dist.DefaultSkeletonWorkers; 0 = sequential), -distkernel selects
-// the distance-kernel relaxation engine (via dist.DefaultKernelMode:
-// auto, sparse, dense, or delta), and -par bounds how many simulations
-// a spineleaf batch keeps in flight (the other drivers batch at
-// GOMAXPROCS). None changes any reported number — the engine and the
-// distance kernel are bit-deterministic across worker counts and
-// kernel modes alike.
+// dist.DefaultSkeletonWorkers; 0 = sequential), and -par bounds how
+// many simulations a spineleaf batch keeps in flight (the other
+// drivers batch at GOMAXPROCS). None changes any reported number — the
+// engine and the distance kernel are bit-deterministic across worker
+// counts.
 package main
 
 import (
@@ -31,7 +29,6 @@ import (
 	"qcongest/internal/core"
 	"qcongest/internal/dist"
 	"qcongest/internal/exp"
-	"qcongest/internal/graph"
 )
 
 func main() {
@@ -50,7 +47,6 @@ func main() {
 		maxw    = flag.Int64("maxw", 16, "max random edge weight (spineleaf)")
 		workers = flag.Int("workers", 0, "engine worker shards per simulation, all experiments (0 = sequential)")
 		dworkrs = flag.Int("distworkers", 0, "distance-kernel workers per skeleton build, all experiments (0 = sequential)")
-		dkernel = flag.String("distkernel", "auto", "distance-kernel relaxation engine, all experiments: auto, sparse, dense, or delta")
 		par     = flag.Int("par", 0, "concurrent simulations in a spineleaf batch (0 = GOMAXPROCS; other sweeps batch at GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -62,9 +58,6 @@ func main() {
 	// treatment through dist.DefaultSkeletonWorkers.
 	congest.DefaultWorkers = *workers
 	dist.DefaultSkeletonWorkers = *dworkrs
-	kernel, err := graph.ParseKernelMode(*dkernel)
-	die(err)
-	dist.DefaultKernelMode = kernel
 
 	m := core.DiameterMode
 	if *mode == "radius" {

@@ -15,7 +15,6 @@ import (
 	"qcongest/internal/congest"
 	"qcongest/internal/dist"
 	"qcongest/internal/exp"
-	"qcongest/internal/graph"
 )
 
 func main() {
@@ -25,20 +24,13 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "engine worker shards per simulation (0 = sequential)")
 		dworkrs = flag.Int("distworkers", 0, "distance-kernel workers per skeleton build (0 = sequential)")
-		dkernel = flag.String("distkernel", "auto", "distance-kernel relaxation engine: auto, sparse, dense, or delta")
 	)
 	flag.Parse()
 
-	// All three knobs are bit-deterministic: they change wall clock,
-	// never a measured number.
+	// Both knobs are bit-deterministic: they change wall clock, never a
+	// measured number.
 	congest.DefaultWorkers = *workers
 	dist.DefaultSkeletonWorkers = *dworkrs
-	kernel, err := graph.ParseKernelMode(*dkernel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	dist.DefaultKernelMode = kernel
 
 	nf, df := float64(*n), float64(*d)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -9,23 +9,20 @@
 // congest.DefaultWorkers) and asserts their full reports are unchanged;
 // Part C does the same for the distance kernel (direct skeleton builds
 // and the skeleton-heavy drivers, via dist.DefaultSkeletonWorkers);
-// Part D extends the contract over the kernel's relaxation engines:
-// every KernelMode × worker-count cell must reproduce the sparse
-// sequential numerators byte for byte (direct builds over the E-family
-// plus adversarial shapes, and the skeleton-heavy drivers via
-// dist.DefaultKernelMode); Part E extends it over the wire codecs:
-// a graph decoded from the text edge list and from the binary
-// varint-delta format must be indistinguishable — same digest, same
-// exact eccentricities, byte-identical sketch numerators — so the
-// serving layer may accept either encoding of a graph and answer from
-// either without the caller being able to tell; Part F extends it over
-// the cluster: a leader and its WAL-shipped replicas — each configured
-// with a different sketch worker count, answering under every pinned
-// kernel — must serve byte-identical sketch numerators and exact
+// Part D is the kernel-adversarial corpus (kernelDeterminismGraphs)
+// that Part C's direct builds and Part E both sweep; Part E extends the
+// contract over the wire codecs: a graph decoded from the text edge
+// list and from the binary varint-delta format must be
+// indistinguishable — same digest, same exact eccentricities,
+// byte-identical sketch numerators — so the serving layer may accept
+// either encoding of a graph and answer from either without the caller
+// being able to tell; Part F extends it over the cluster: a leader and
+// its WAL-shipped replicas — each configured with a different sketch
+// worker count — must serve byte-identical sketch numerators and exact
 // metrics for every replicated graph, both directly and through the
 // digest-routing proxy, which is the invariant that makes any-replica
-// reads sound. CI runs this file with -count=3 under the
-// `determinism` and `kernel-differential` jobs.
+// reads sound. CI runs this file with -count=3 under the `determinism`
+// job.
 package qcongest_test
 
 import (
@@ -221,16 +218,16 @@ func TestDeterminismExperimentDrivers(t *testing.T) {
 // contract on the exported surface: skeleton numerators (queried as
 // approximate eccentricities over every vertex, plus the TopMass
 // aggregate the outer search consumes) are byte-identical for
-// Workers ∈ {1, 4, GOMAXPROCS}.
+// Workers ∈ {1, 4, GOMAXPROCS}, over the E-family shapes and the
+// kernel-adversarial corpus.
 func TestDeterminismSkeletonWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	graphs := []*graph.Graph{
 		graph.RandomWeights(graph.RandomConnected(48, 140, rng), 11, rng),
 		graph.RandomWeights(graph.SpineLeaf(3, 5, 4, 2, 1), 7, rng),
-		graph.Barbell(6, 5),
 		graph.RandomWeights(graph.DiameterControlled(40, 8, rng), 16, rng),
 	}
-	for gi, g := range graphs {
+	for gi, g := range append(graphs, kernelDeterminismGraphs()...) {
 		var s []int
 		for v := 0; v < g.N(); v += 3 {
 			s = append(s, v)
@@ -298,11 +295,11 @@ func TestDeterminismSkeletonDrivers(t *testing.T) {
 	}
 }
 
-// kernelDeterminismGraphs is the Part D corpus: the E-family shapes of
-// Part C plus the kernel-adversarial ones — a star (instant
-// sparse→dense flip), a long path (dense must never engage), a
-// high-degree fabric (the bottom-up BFS regime), and a disconnected
-// graph (unreached vertices stay Inf in every engine).
+// kernelDeterminismGraphs is the Part D corpus, swept by Parts C and E: a
+// random graph and a barbell of the E-family plus the kernel-adversarial
+// shapes — a star (the frontier jumps to n-1 in one hop), a long path
+// (the frontier never grows), a high-degree fabric (the bottom-up BFS
+// regime), and a disconnected graph (unreached vertices stay Inf).
 func kernelDeterminismGraphs() []*graph.Graph {
 	rng := rand.New(rand.NewSource(73))
 	disconnected := graph.New(40)
@@ -322,41 +319,8 @@ func kernelDeterminismGraphs() []*graph.Graph {
 	}
 }
 
-// TestDeterminismKernelModes is Part D's direct-build half: for every
-// relaxation engine and every worker count, the full-vertex sketch
-// numerators (every approximate eccentricity, which exhausts the rows
-// and overlay) must be byte-identical to the sparse sequential build.
-func TestDeterminismKernelModes(t *testing.T) {
-	for gi, g := range kernelDeterminismGraphs() {
-		var s []int
-		for v := 0; v < g.N(); v += 3 {
-			s = append(s, v)
-		}
-		eps := dist.EpsForN(g.N())
-		capture := func(mode graph.KernelMode, workers int) []int64 {
-			sk := dist.BuildSkeletonWith(g, s, g.N()/2, 2, eps,
-				dist.BuildSkeletonOpts{Workers: workers, Kernel: mode})
-			eccs := make([]int64, g.N())
-			for v := range eccs {
-				eccs[v] = sk.ApproxEccentricity(v)
-			}
-			sk.Release()
-			return eccs
-		}
-		ref := capture(graph.KernelSparse, 1)
-		for _, mode := range graph.KernelModes() {
-			for _, workers := range workerCounts() {
-				if got := capture(mode, workers); !reflect.DeepEqual(got, ref) {
-					t.Errorf("graph %d, mode=%v, workers=%d: sketch numerators diverged from sparse sequential build",
-						gi, mode, workers)
-				}
-			}
-		}
-	}
-}
-
 // TestDeterminismCodecParity is Part E: the cross-codec differential
-// suite. Every corpus graph (the Part D kernel-adversarial family plus
+// suite. Every corpus graph (the kernel-adversarial family plus
 // a scrambled-insertion-order shape that forces the binary codec's
 // permutation section) is round-tripped through both wire codecs, and
 // the three copies — original, text-decoded, binary-decoded — must
@@ -421,54 +385,15 @@ func TestDeterminismCodecParity(t *testing.T) {
 	}
 }
 
-// TestDeterminismKernelModeDrivers is Part D's driver half: the
-// skeleton-heavy experiment reports must be unchanged under every
-// process-wide kernel mode (dist.DefaultKernelMode), exactly as Part C
-// pins them across worker counts.
-func TestDeterminismKernelModeDrivers(t *testing.T) {
-	drivers := []struct {
-		name string
-		run  func() (interface{}, error)
-	}{
-		{"E1/table1", func() (interface{}, error) { return exp.MeasuredTable1(40, 3) }},
-		{"E5/quality", func() (interface{}, error) { return exp.Quality(2, 24, core.DiameterMode, 3) }},
-		{"E14/spineleaf", func() (interface{}, error) {
-			return exp.SpineLeafSweep([]exp.SpineLeafConfig{{Spines: 2, Leaves: 3, Hosts: 3}}, 4, 3, 0, 0)
-		}},
-	}
-	defer func() { dist.DefaultKernelMode = graph.KernelAuto }()
-	for _, d := range drivers {
-		t.Run(d.name, func(t *testing.T) {
-			dist.DefaultKernelMode = graph.KernelSparse
-			ref, err := d.run()
-			if err != nil {
-				t.Fatalf("sparse: %v", err)
-			}
-			for _, mode := range graph.KernelModes() {
-				dist.DefaultKernelMode = mode
-				got, err := d.run()
-				dist.DefaultKernelMode = graph.KernelAuto
-				if err != nil {
-					t.Fatalf("mode=%v: %v", mode, err)
-				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("mode=%v: report diverged from the sparse run", mode)
-				}
-			}
-		})
-	}
-}
-
 // TestDeterminismClusterReplicaParity is Part F: the determinism
 // contract across a live replication cluster. One shard — a durable
 // leader plus a durable and an in-memory follower, each tailing the
 // leader's log over /v1/replicate — behind a digest-routing proxy. The
 // three nodes deliberately run DIFFERENT sketch worker counts (1, 4,
 // GOMAXPROCS), so equality across replicas is simultaneously equality
-// across the parallel kernel's fan-out; each assertion additionally
-// pins both relaxation engines. Every replicated graph must answer the
-// same digest, the same exact diameter, and byte-identical sketch
-// numerators from every node and through the router.
+// across the parallel kernel's fan-out. Every replicated graph must
+// answer the same digest, the same exact diameter, and byte-identical
+// sketch numerators from every node and through the router.
 func TestDeterminismClusterReplicaParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster parity is not a -short test")
@@ -537,8 +462,8 @@ func TestDeterminismClusterReplicaParity(t *testing.T) {
 		"in-memory-follower": svc.NewClient(its.URL),
 	}
 
-	// The corpus: kernel-adversarial shapes small enough that the dense
-	// engine cells stay cheap under CI's -count=3.
+	// The corpus: kernel-adversarial shapes small enough to stay cheap
+	// under CI's -count=3.
 	rng := rand.New(rand.NewSource(77))
 	corpus := []*graph.Graph{
 		graph.Star(33),
@@ -580,40 +505,37 @@ func TestDeterminismClusterReplicaParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("leader diameter(%s): %v", d, err)
 		}
-		for _, kernel := range []string{"sparse", "dense"} {
-			req := svc.SketchRequest{
-				Sources: []int{0, 1 % n, (n / 2) % n},
-				L:       n / 2,
-				K:       2,
-				Kernel:  kernel,
-			}
-			ref, err := nodes["leader"].Sketch(d, req)
+		req := svc.SketchRequest{
+			Sources: []int{0, 1 % n, (n / 2) % n},
+			L:       n / 2,
+			K:       2,
+		}
+		ref, err := nodes["leader"].Sketch(d, req)
+		if err != nil {
+			t.Fatalf("leader sketch(%s): %v", d, err)
+		}
+		for name, c := range nodes {
+			got, err := c.Sketch(d, req)
 			if err != nil {
-				t.Fatalf("leader sketch(%s, %s): %v", d, kernel, err)
+				t.Fatalf("%s sketch(%s): %v", name, d, err)
 			}
-			for name, c := range nodes {
-				got, err := c.Sketch(d, req)
-				if err != nil {
-					t.Fatalf("%s sketch(%s, %s): %v", name, d, kernel, err)
-				}
-				if got.Den != ref.Den || !reflect.DeepEqual(got.Eccentricities, ref.Eccentricities) {
-					t.Errorf("graph %d kernel %s: %s sketch numerators diverge from the leader's", gi, kernel, name)
-				}
-				dia, err := c.Diameter(d)
-				if err != nil {
-					t.Fatalf("%s diameter(%s): %v", name, d, err)
-				}
-				if dia != refDia {
-					t.Errorf("graph %d: %s answers diameter %d, leader %d", gi, name, dia, refDia)
-				}
+			if got.Den != ref.Den || !reflect.DeepEqual(got.Eccentricities, ref.Eccentricities) {
+				t.Errorf("graph %d: %s sketch numerators diverge from the leader's", gi, name)
 			}
-			via, err := rc.Sketch(d, req)
+			dia, err := c.Diameter(d)
 			if err != nil {
-				t.Fatalf("router sketch(%s, %s): %v", d, kernel, err)
+				t.Fatalf("%s diameter(%s): %v", name, d, err)
 			}
-			if via.Den != ref.Den || !reflect.DeepEqual(via.Eccentricities, ref.Eccentricities) {
-				t.Errorf("graph %d kernel %s: the router's answer diverges from the leader's", gi, kernel)
+			if dia != refDia {
+				t.Errorf("graph %d: %s answers diameter %d, leader %d", gi, name, dia, refDia)
 			}
+		}
+		via, err := rc.Sketch(d, req)
+		if err != nil {
+			t.Fatalf("router sketch(%s): %v", d, err)
+		}
+		if via.Den != ref.Den || !reflect.DeepEqual(via.Eccentricities, ref.Eccentricities) {
+			t.Errorf("graph %d: the router's answer diverges from the leader's", gi)
 		}
 	}
 }

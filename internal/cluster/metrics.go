@@ -13,25 +13,16 @@ import (
 	"strconv"
 	"strings"
 	"time"
-)
 
-func wantsPromText(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus", "prom", "text":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
-}
+	"qcongest/internal/svc"
+)
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	if wantsPromText(r) {
+	if svc.WantsPromText(r) {
 		rt.writePromText(w)
 		return
 	}

@@ -512,6 +512,19 @@ func TestRouterClusterE2E(t *testing.T) {
 			t.Fatalf("prometheus view lacks %q:\n%s", family, prom.String())
 		}
 	}
+	// A scraper's Accept header selects the same view without the query.
+	req, _ := http.NewRequest(http.MethodGet, rts.URL+"/metrics", nil)
+	req.Header.Set("Accept", "text/plain;version=0.0.4")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom.Reset()
+	_, _ = prom.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") || !strings.Contains(prom.String(), "qrouter_uptime_seconds") {
+		t.Fatalf("Accept: text/plain answered %q:\n%s", resp.Header.Get("Content-Type"), prom.String())
+	}
 
 	// --- Auto-promotion: after PromoteAfter failed sweeps the router
 	// elects the in-sync follower, promotes it at epoch 1, and rewrites

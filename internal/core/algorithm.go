@@ -46,11 +46,6 @@ type Options struct {
 	// dist.DefaultSkeletonWorkers; 0/1 is sequential). Results are
 	// byte-identical for every value.
 	SkeletonWorkers int
-	// Kernel selects the relaxation engine of the skeleton builds'
-	// distance kernel (graph.KernelAuto, the zero value, defers to
-	// dist.DefaultKernelMode). Results are byte-identical for every
-	// mode.
-	Kernel graph.KernelMode
 }
 
 // Result reports one algorithm run with its full round ledger.
@@ -257,7 +252,7 @@ func setKey(s []int) string {
 
 func (e *evaluator) skeleton(s []int) *dist.Skeleton {
 	return dist.BuildSkeletonWith(e.g, s, e.params.L, e.params.K, e.params.Eps,
-		dist.BuildSkeletonOpts{Workers: e.opts.SkeletonWorkers, Kernel: e.opts.Kernel})
+		dist.BuildSkeletonOpts{Workers: e.opts.SkeletonWorkers})
 }
 
 // outerValue runs the inner quantum search over S_i and returns f(i) in

@@ -26,15 +26,6 @@ import (
 // unsynchronized. 0 or 1 builds sequentially.
 var DefaultSkeletonWorkers int
 
-// DefaultKernelMode is the relaxation engine used when
-// BuildSkeletonOpts.Kernel is graph.KernelAuto (the zero value). Like
-// DefaultSkeletonWorkers it exists for process-wide front-ends (the
-// -distkernel flag of cmd/sweep and cmd/table1) that cannot thread a
-// knob through every caller: set it once, before builds start — the
-// read is unsynchronized. Every mode produces byte-identical
-// numerators, so this is purely a performance knob.
-var DefaultKernelMode graph.KernelMode
-
 // BuildSkeletonOpts configures BuildSkeletonWith.
 type BuildSkeletonOpts struct {
 	// Workers fans the per-source rounded-distance computations across
@@ -42,12 +33,6 @@ type BuildSkeletonOpts struct {
 	// sequential. The skeleton's numerators are byte-identical for
 	// every value.
 	Workers int
-
-	// Kernel selects the graph.DistWorkspace relaxation engine for the
-	// per-source sweeps. graph.KernelAuto (the zero value) defers to
-	// DefaultKernelMode — which itself defaults to the auto crossover.
-	// Numerators are byte-identical for every mode.
-	Kernel graph.KernelMode
 }
 
 // skelBuffers is the pooled build arena of one skeleton: the distance

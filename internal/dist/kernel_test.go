@@ -126,12 +126,13 @@ func TestGoldenKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestGoldenSkeletonRows pins the full BuildSkeleton surface: every
-// source row equals the reference computation, and every approximate
-// eccentricity is reproduced after a rebuild (the overlay assembly is
-// a deterministic function of the rows).
+// TestGoldenSkeletonRows pins the full BuildSkeleton surface over the
+// workload family and the adversarial shapes: every source row equals
+// the reference computation, and every approximate eccentricity is
+// reproduced after a rebuild (the overlay assembly is a deterministic
+// function of the rows).
 func TestGoldenSkeletonRows(t *testing.T) {
-	for gi, g := range goldenGraphs() {
+	for gi, g := range append(goldenGraphs(), adversarialDistGraphs()...) {
 		eps := EpsForN(g.N())
 		var s []int
 		for v := 0; v < g.N(); v += 3 {
@@ -155,9 +156,10 @@ func workerCounts() []int {
 }
 
 // TestSkeletonWorkerDeterminism: numerators (rows, overlay, and every
-// derived eccentricity) are byte-identical across worker counts.
+// derived eccentricity) are byte-identical across worker counts, over
+// the workload family and the adversarial shapes.
 func TestSkeletonWorkerDeterminism(t *testing.T) {
-	for gi, g := range goldenGraphs() {
+	for gi, g := range append(goldenGraphs(), adversarialDistGraphs()...) {
 		eps := EpsForN(g.N())
 		var s []int
 		for v := 0; v < g.N(); v += 2 {
@@ -352,11 +354,11 @@ func FuzzRoundedHopDist(f *testing.F) {
 	})
 }
 
-// adversarialDistGraphs are the kernel-adversarial shapes of the
-// differential suite at the skeleton layer: a star (immediate
-// sparse→dense flip), a long path (dense must never engage), a
-// high-degree spine-leaf fabric (bottom-up regime), and a disconnected
-// union (unreached vertices stay Inf through the rounding scales).
+// adversarialDistGraphs are the kernel-adversarial shapes at the
+// skeleton layer: a star (the frontier jumps to n-1 in one hop), a long
+// path (the frontier never grows), a high-degree spine-leaf fabric, and
+// a disconnected union (unreached vertices stay Inf through the
+// rounding scales).
 func adversarialDistGraphs() []*graph.Graph {
 	rng := rand.New(rand.NewSource(61))
 	disconnected := graph.New(44)
@@ -371,63 +373,6 @@ func adversarialDistGraphs() []*graph.Graph {
 		graph.Path(80),
 		graph.RandomWeights(graph.SpineLeaf(4, 8, 6, 2, 1), 11, rng),
 		disconnected,
-	}
-}
-
-// TestKernelModesSkeletonDifferential is the skeleton-layer half of the
-// differential harness: over the E1–E14 family plus the adversarial
-// shapes, every KernelMode × worker count must reproduce — byte for
-// byte — the rows, overlay, and full-vertex eccentricities of the
-// sparse sequential build, and the rows themselves must match the
-// pre-kernel golden reference (refRoundedBoundedHopDist). CI runs this
-// under -race -count=3 in the kernel-differential job.
-func TestKernelModesSkeletonDifferential(t *testing.T) {
-	graphs := append(goldenGraphs(), adversarialDistGraphs()...)
-	for gi, g := range graphs {
-		n := g.N()
-		eps := EpsForN(n)
-		var s []int
-		for v := 0; v < n; v += 4 {
-			s = append(s, v)
-		}
-		l, k := n/3+1, 2
-		type snapshot struct {
-			rows, overlay, eccs []int64
-		}
-		capture := func(mode graph.KernelMode, workers int) snapshot {
-			sk := BuildSkeletonWith(g, s, l, k, eps,
-				BuildSkeletonOpts{Workers: workers, Kernel: mode})
-			snap := snapshot{
-				rows:    append([]int64(nil), sk.bufs.rows...),
-				overlay: append([]int64(nil), sk.bufs.overlay...),
-				eccs:    make([]int64, n),
-			}
-			for v := 0; v < n; v++ {
-				snap.eccs[v] = sk.ApproxEccentricity(v)
-			}
-			sk.Release()
-			return snap
-		}
-		ref := capture(graph.KernelSparse, 1)
-		for j, v := range s {
-			if want := refRoundedBoundedHopDist(g, v, l, eps); !reflect.DeepEqual(ref.rows[j*n:(j+1)*n], want) {
-				t.Fatalf("graph %d: sparse row of source %d diverged from the golden reference", gi, v)
-			}
-		}
-		for _, mode := range graph.KernelModes() {
-			for _, workers := range workerCounts() {
-				got := capture(mode, workers)
-				if !reflect.DeepEqual(got.rows[:len(s)*n], ref.rows[:len(s)*n]) {
-					t.Fatalf("graph %d mode=%v workers=%d: rows diverged from sparse sequential build", gi, mode, workers)
-				}
-				if !reflect.DeepEqual(got.overlay, ref.overlay) {
-					t.Fatalf("graph %d mode=%v workers=%d: overlay diverged", gi, mode, workers)
-				}
-				if !reflect.DeepEqual(got.eccs, ref.eccs) {
-					t.Fatalf("graph %d mode=%v workers=%d: eccentricities diverged", gi, mode, workers)
-				}
-			}
-		}
 	}
 }
 

@@ -88,15 +88,7 @@ func BuildSkeletonWith(g *graph.Graph, s []int, l, k int, eps Eps, opts BuildSke
 	if workers == 0 {
 		workers = DefaultSkeletonWorkers
 	}
-	kernel := opts.Kernel
-	if kernel == graph.KernelAuto {
-		kernel = DefaultKernelMode
-	}
 	bufs := getSkelBuffers(g)
-	// Worker clones inherit the mode (Clone copies it), so one set here
-	// covers the sequential path and the fan-out alike. Recycled arenas
-	// may carry a previous build's mode, hence unconditional.
-	bufs.ws.SetKernelMode(kernel)
 	n := g.N()
 	sk := &Skeleton{
 		G:      g,

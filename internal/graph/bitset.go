@@ -1,10 +1,9 @@
 package graph
 
-// Bitset frontier primitives for the dense (direction-optimizing)
-// kernel mode: a frontier over n vertices packed 64 per word, so a
-// bottom-up relaxation hop tests membership with a shift and a mask
-// instead of chasing a worklist, and a dense→sparse transition
-// enumerates members with trailing-zero scans. All storage comes from
+// Bitset frontier primitives for bottom-up BFS levels: a frontier over
+// n vertices packed 64 per word, so a bottom-up level tests membership
+// with a shift and a mask instead of chasing a worklist, and the flip
+// back to top-down enumerates members with trailing-zero scans. All storage comes from
 // the owning DistWorkspace's scratch arenas — these helpers never
 // allocate once the workspace is warm.
 
@@ -21,7 +20,7 @@ func bitWords(n int) int { return (n + 63) / 64 }
 
 // growBits returns s with capacity for n vertices. Contents are
 // unspecified (callers zero at point of use): growth must not force an
-// O(n) clear on the hops that never go dense.
+// O(n) clear on the BFS calls that never go bottom-up.
 func growBits(s frontierBits, n int) frontierBits {
 	w := bitWords(n)
 	if cap(s) < w {
@@ -40,23 +39,11 @@ func (b frontierBits) zero() {
 // set marks vertex v.
 func (b frontierBits) set(v int32) { b[v>>6] |= 1 << (uint(v) & 63) }
 
-// clear unmarks vertex v.
-func (b frontierBits) clear(v int32) { b[v>>6] &^= 1 << (uint(v) & 63) }
-
 // test reports whether vertex v is marked.
 func (b frontierBits) test(v int32) bool { return b[v>>6]&(1<<(uint(v)&63)) != 0 }
 
-// count returns the number of marked vertices.
-func (b frontierBits) count() int {
-	c := 0
-	for _, w := range b {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // appendMembers appends the marked vertices to dst in ascending order
-// and returns it — the dense→sparse frontier transition. The caller
+// and returns it — the bottom-up → top-down frontier transition. The caller
 // guarantees dst has the capacity (the workspace frontier slices are
 // sized to n), so the append never allocates on a warm workspace.
 func (b frontierBits) appendMembers(dst []int32) []int32 {
@@ -70,8 +57,8 @@ func (b frontierBits) appendMembers(dst []int32) []int32 {
 	return dst
 }
 
-// fillFrom zeroes b and marks every vertex in src — the sparse→dense
-// frontier transition.
+// fillFrom zeroes b and marks every vertex in src — the top-down →
+// bottom-up frontier transition.
 func (b frontierBits) fillFrom(src []int32) {
 	b.zero()
 	for _, v := range src {

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestFrontierBitsPrimitives drives set/clear/test/count through a
-// model map over sizes straddling word boundaries (n not a multiple of
-// 64 included), then checks member enumeration is exactly the model in
-// ascending order.
+// TestFrontierBitsPrimitives drives set/test through a model map over
+// sizes straddling word boundaries (n not a multiple of 64 included),
+// then checks member enumeration is exactly the model in ascending
+// order.
 func TestFrontierBitsPrimitives(t *testing.T) {
 	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 130, 200} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -19,18 +19,10 @@ func TestFrontierBitsPrimitives(t *testing.T) {
 			t.Fatalf("n=%d: %d words, want %d", n, len(b), bitWords(n))
 		}
 		model := make(map[int32]bool)
-		for i := 0; i < 4*n; i++ {
+		for i := 0; i < n/2+1; i++ {
 			v := int32(rng.Intn(n))
-			if i%3 == 2 {
-				b.clear(v)
-				delete(model, v)
-			} else {
-				b.set(v)
-				model[v] = true
-			}
-			if b.count() != len(model) {
-				t.Fatalf("n=%d step %d: popcount %d, model %d", n, i, b.count(), len(model))
-			}
+			b.set(v)
+			model[v] = true
 		}
 		for v := int32(0); v < int32(n); v++ {
 			if b.test(v) != model[v] {
@@ -85,14 +77,7 @@ func TestFrontierBitsWordBoundaries(t *testing.T) {
 	if b[2] != 1|1<<1 {
 		t.Fatalf("word 2 = %#x, want bits 128, 129", b[2])
 	}
-	if b.count() != 7 {
-		t.Fatalf("count = %d, want 7", b.count())
-	}
-	b.clear(64)
-	if b.test(64) || !b.test(63) || !b.test(65) {
-		t.Fatal("clear(64) touched a neighboring bit")
-	}
-	want := []int32{0, 63, 65, 127, 128, 129}
+	want := []int32{0, 63, 64, 65, 127, 128, 129}
 	if got := b.appendMembers(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("members = %v, want %v", got, want)
 	}
@@ -116,8 +101,9 @@ func TestGrowBitsReuse(t *testing.T) {
 	if len(bigger) != bitWords(1000) {
 		t.Fatalf("grew to %d words, want %d", len(bigger), bitWords(1000))
 	}
+	bigger.set(999)
 	bigger.zero()
-	if bigger.count() != 0 {
-		t.Fatal("zero left bits set")
+	if got := bigger.appendMembers(nil); len(got) != 0 {
+		t.Fatalf("zero left %v set", got)
 	}
 }

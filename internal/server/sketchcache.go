@@ -60,13 +60,9 @@ func NewSketchCache(capacity, workers int) *SketchCache {
 // sketchKey serializes the query identity. The source order is part of
 // the key: two requests naming the same set in different orders are
 // distinct cache lines (their skeletons answer identically, but the
-// exported Sources differ). The kernel mode is part of the key too, so
-// requests pinning different engines build (and cache) separately —
-// the determinism contract makes their numerators byte-identical, and
-// the cross-mode service smoke asserts exactly that against two
-// genuinely distinct builds.
-func sketchKey(g *graph.Graph, s []int, l, k int, eps dist.Eps, mode graph.KernelMode) string {
-	buf := make([]byte, 0, 8*(6+len(s)))
+// exported Sources differ).
+func sketchKey(g *graph.Graph, s []int, l, k int, eps dist.Eps) string {
+	buf := make([]byte, 0, 8*(5+len(s)))
 	var tmp [8]byte
 	put := func(x uint64) {
 		binary.LittleEndian.PutUint64(tmp[:], x)
@@ -76,7 +72,6 @@ func sketchKey(g *graph.Graph, s []int, l, k int, eps dist.Eps, mode graph.Kerne
 	put(uint64(l))
 	put(uint64(k))
 	put(uint64(eps.T))
-	put(uint64(mode))
 	put(uint64(len(s)))
 	for _, v := range s {
 		put(uint64(v))
@@ -91,12 +86,7 @@ func sketchKey(g *graph.Graph, s []int, l, k int, eps dist.Eps, mode graph.Kerne
 // different bounded path before committing to Skeleton, which does the
 // counted lookup and hands out the shared result.
 func (c *SketchCache) Peek(g *graph.Graph, s []int, l, k int, eps dist.Eps) bool {
-	return c.PeekKernel(g, s, l, k, eps, graph.KernelAuto)
-}
-
-// PeekKernel is Peek for a sketch pinned to a specific kernel mode.
-func (c *SketchCache) PeekKernel(g *graph.Graph, s []int, l, k int, eps dist.Eps, mode graph.KernelMode) bool {
-	key := sketchKey(g, s, l, k, eps, mode)
+	key := sketchKey(g, s, l, k, eps)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -107,15 +97,7 @@ func (c *SketchCache) PeekKernel(g *graph.Graph, s []int, l, k int, eps dist.Eps
 // it on a miss. The returned skeleton is shared: callers must not
 // Release it.
 func (c *SketchCache) Skeleton(g *graph.Graph, s []int, l, k int, eps dist.Eps) *dist.Skeleton {
-	return c.SkeletonKernel(g, s, l, k, eps, graph.KernelAuto)
-}
-
-// SkeletonKernel is Skeleton for a sketch pinned to a specific kernel
-// mode: the build runs that relaxation engine, and the entry is a
-// distinct cache line from other modes of the same query. Numerators
-// are byte-identical across modes regardless.
-func (c *SketchCache) SkeletonKernel(g *graph.Graph, s []int, l, k int, eps dist.Eps, mode graph.KernelMode) *dist.Skeleton {
-	key := sketchKey(g, s, l, k, eps, mode)
+	key := sketchKey(g, s, l, k, eps)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
@@ -153,7 +135,7 @@ func (c *SketchCache) SkeletonKernel(g *graph.Graph, s []int, l, k int, eps dist
 			close(e.ready)
 		}
 	}()
-	sk := dist.BuildSkeletonWith(g, s, l, k, eps, dist.BuildSkeletonOpts{Workers: c.workers, Kernel: mode})
+	sk := dist.BuildSkeletonWith(g, s, l, k, eps, dist.BuildSkeletonOpts{Workers: c.workers})
 	c.mu.Lock()
 	e.sk = sk
 	e.done = true

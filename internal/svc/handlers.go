@@ -166,7 +166,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	if wantsPromText(r) {
+	if WantsPromText(r) {
 		s.writePromText(w)
 		return
 	}
@@ -623,18 +623,6 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request, e *entry) 
 	if eps.T == 0 {
 		eps = dist.EpsForN(n)
 	}
-	// An explicit request mode overrides the daemon default; the empty
-	// string defers to it. The resolved mode is part of the cache
-	// identity (not of the answer: numerators are byte-identical across
-	// modes).
-	kernel := s.cfg.SketchKernel
-	if req.Kernel != "" {
-		var err error
-		if kernel, err = graph.ParseKernelMode(req.Kernel); err != nil {
-			writeError(w, http.StatusBadRequest, "bad kernel: %v", err)
-			return
-		}
-	}
 	vertices := req.Vertices
 	if len(vertices) == 0 {
 		vertices = req.Sources
@@ -654,7 +642,7 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request, e *entry) 
 	// Skeleton just means this request holds the other gate's slot,
 	// which is harmless. leave() is deferred: a panic out of a failed
 	// deduplicated build must not leak the slot.
-	gate, warm := s.query, s.cache.PeekKernel(e.g, req.Sources, req.L, req.K, eps, kernel)
+	gate, warm := s.query, s.cache.Peek(e.g, req.Sources, req.L, req.K, eps)
 	if !warm {
 		gate = s.build
 	}
@@ -665,12 +653,11 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request, e *entry) 
 	if warm {
 		s.noteWarmHit(e)
 	}
-	sk := s.cache.SkeletonKernel(e.g, req.Sources, req.L, req.K, eps, kernel)
+	sk := s.cache.Skeleton(e.g, req.Sources, req.L, req.K, eps)
 	// Record the tuple as the graph's warm-start hint only now that the
 	// build succeeded: a tuple that panics the builder (failed
 	// deduplicated flight) must never become a persisted hint the next
-	// boot replays. The kernel mode is deliberately not part of the
-	// hint: warm starts rebuild on the daemon's configured default.
+	// boot replays.
 	s.touch(e, &store.SketchParams{Sources: req.Sources, L: req.L, K: req.K, EpsT: req.EpsT})
 	resp := SketchResponse{
 		Digest:         e.info.Digest,

@@ -149,10 +149,7 @@ func (s *Server) warmOne(e *entry) {
 		if eps.T == 0 {
 			eps = dist.EpsForN(e.g.N())
 		}
-		// Warm starts build on the daemon's configured default kernel —
-		// the mode a hint-less repeat request resolves to, so the warmed
-		// cache line is the one such requests hit.
-		s.cache.SkeletonKernel(e.g, sk.Sources, sk.L, sk.K, eps, s.cfg.SketchKernel)
+		s.cache.Skeleton(e.g, sk.Sources, sk.L, sk.K, eps)
 	}
 }
 

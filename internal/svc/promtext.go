@@ -23,11 +23,12 @@ import (
 // promContentType is the exposition content type scrapers expect.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// wantsPromText decides the /metrics view: ?format=prometheus (or
-// json) wins, then an Accept header asking for text/plain or
-// OpenMetrics — what every Prometheus scraper sends. The default stays
-// JSON so PR 4 clients keep working unchanged.
-func wantsPromText(r *http.Request) bool {
+// WantsPromText decides the /metrics view for the daemon and the
+// router alike: ?format=prometheus (or json) wins, then an Accept
+// header asking for text/plain or OpenMetrics — what every Prometheus
+// scraper sends. The default stays JSON so older clients keep working
+// unchanged.
+func WantsPromText(r *http.Request) bool {
 	switch r.URL.Query().Get("format") {
 	case "prometheus", "prom", "text":
 		return true

@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qcongest/internal/graph"
 	"qcongest/internal/server"
 	"qcongest/internal/store"
 )
@@ -62,11 +61,6 @@ type Config struct {
 	// dist.BuildSkeletonWith (0 uses dist.DefaultSkeletonWorkers).
 	// Numerators are byte-identical for every value.
 	SketchWorkers int
-	// SketchKernel is the default relaxation engine for sketch builds
-	// whose request does not pin one (graph.KernelAuto, the zero value,
-	// is the heuristic crossover). Numerators are byte-identical for
-	// every mode.
-	SketchKernel graph.KernelMode
 	// BuildSlots bounds concurrently executing cold work: sketch
 	// builds, batch sweeps, first-touch exact-metric computations, and
 	// upload parsing/generation (default 2).

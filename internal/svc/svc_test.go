@@ -294,7 +294,7 @@ func TestServiceGenerateDeterministic(t *testing.T) {
 
 // TestServiceErrors walks the documented error surface of API.md.
 func TestServiceErrors(t *testing.T) {
-	_, client := newService(t, svc.Config{MaxGraphs: 1, MaxNodes: 1000, MaxBatchNodes: 20})
+	s, client := newService(t, svc.Config{MaxGraphs: 1, MaxNodes: 1000, MaxBatchNodes: 20})
 	g := workload(t, 30)
 	up, err := client.Upload(g)
 	if err != nil {
@@ -361,6 +361,8 @@ func TestServiceErrors(t *testing.T) {
 		{"sketch via GET", http.MethodGet, "/v1/graphs/" + up.Digest + "/sketch", "", http.StatusMethodNotAllowed},
 		{"bad JSON", http.MethodPost, "/v1/graphs", "{", http.StatusBadRequest},
 		{"unknown field", http.MethodPost, "/v1/graphs", `{"edgelost":"n 1"}`, http.StatusBadRequest},
+		{"sketch unknown field", http.MethodPost, "/v1/graphs/" + up.Digest + "/sketch",
+			`{"sources":[0],"l":4,"k":2,"kernel":"sparse"}`, http.StatusBadRequest},
 		{"both sources", http.MethodPost, "/v1/graphs", `{"edgelist":"n 1","gen":{"kind":"path","n":2}}`, http.StatusBadRequest},
 		{"edgelist header bomb", http.MethodPost, "/v1/graphs", `{"edgelist":"n 99999999999"}`, http.StatusRequestEntityTooLarge},
 		{"neither source", http.MethodPost, "/v1/graphs", `{}`, http.StatusBadRequest},
@@ -379,6 +381,10 @@ func TestServiceErrors(t *testing.T) {
 		if resp.StatusCode != tc.code {
 			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
+	}
+	// Every rejected sketch request was refused before its build.
+	if st := s.Cache().Stats(); st.Misses != 0 {
+		t.Fatalf("rejected sketch requests built skeletons: %+v", st)
 	}
 }
 
@@ -495,72 +501,5 @@ func TestServiceHealthAndMetrics(t *testing.T) {
 	_, err = client.Health()
 	if se, ok := err.(*svc.StatusError); !ok || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining health answered %v", err)
-	}
-}
-
-// TestServiceSketchKernelModes is the cross-engine determinism contract
-// at the HTTP surface: the same sketch request pinned to each kernel
-// mode answers byte-identical numerators, each pinned mode is its own
-// cache line (a genuine rebuild, observed through Stats.Misses), and a
-// bogus mode string draws a 400 before any build starts.
-func TestServiceSketchKernelModes(t *testing.T) {
-	g := workload(t, 140)
-	sources := []int{0, 5, 9, 23, 41}
-	const l, k = 7, 2
-	eps := dist.EpsForN(g.N())
-	vertices := make([]int, g.N())
-	for v := range vertices {
-		vertices[v] = v
-	}
-	ref := dist.BuildSkeletonWith(g, sources, l, k, eps, dist.BuildSkeletonOpts{Workers: 1})
-
-	s, client := newService(t, svc.Config{})
-	up, err := client.Upload(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modes := []string{"sparse", "dense", "delta", "auto", ""}
-	var first svc.SketchResponse
-	for i, mode := range modes {
-		resp, err := client.Sketch(up.Digest, svc.SketchRequest{
-			Sources: sources, L: l, K: k, EpsT: eps.T, Vertices: vertices, Kernel: mode,
-		})
-		if err != nil {
-			t.Fatalf("kernel %q: %v", mode, err)
-		}
-		if resp.Den != ref.DenOut {
-			t.Fatalf("kernel %q: den %d != library %d", mode, resp.Den, ref.DenOut)
-		}
-		for _, e := range resp.Eccentricities {
-			if want := ref.ApproxEccentricity(e.V); e.Num != want {
-				t.Fatalf("kernel %q: vertex %d numerator %d != library %d",
-					mode, e.V, e.Num, want)
-			}
-		}
-		if i == 0 {
-			first = resp
-		} else if resp.Den != first.Den {
-			t.Fatalf("kernel %q: den diverged from %q", mode, modes[0])
-		}
-	}
-	// sparse/dense/delta/auto are four distinct cache lines; "" resolves
-	// to the daemon default (auto here) and must hit auto's line.
-	stats := s.Cache().Stats()
-	if stats.Misses != 4 {
-		t.Fatalf("expected 4 distinct kernel cache lines, got %d misses (stats %+v)", stats.Misses, stats)
-	}
-	if stats.Hits != 1 {
-		t.Fatalf("hint-less request should hit the default mode's line: %+v", stats)
-	}
-
-	_, err = client.Sketch(up.Digest, svc.SketchRequest{
-		Sources: sources, L: l, K: k, Kernel: "quantum",
-	})
-	se, ok := err.(*svc.StatusError)
-	if !ok || se.Code != http.StatusBadRequest {
-		t.Fatalf("bogus kernel mode: got %v, want 400", err)
-	}
-	if got := s.Cache().Stats(); got.Misses != stats.Misses {
-		t.Fatalf("rejected request still built a sketch: %+v", got)
 	}
 }

@@ -264,13 +264,6 @@ type SketchRequest struct {
 	// Vertices are the query points ẽ is evaluated at; empty defaults
 	// to Sources.
 	Vertices []int `json:"vertices,omitempty"`
-	// Kernel pins the relaxation engine of the build: "auto", "sparse",
-	// "dense", or "delta" (empty uses the daemon's configured default).
-	// Every mode returns byte-identical numerators — the field is a
-	// performance/verification knob, not a semantic one — but modes are
-	// distinct cache lines, so a pinned mode genuinely exercises its
-	// engine.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // SketchEcc is one approximate-eccentricity answer.
