@@ -32,7 +32,7 @@ func TestPublicSketchServing(t *testing.T) {
 	s := []int{0, 9, 17, 26, 33}
 	eps := qcongest.EpsForN(g.N())
 
-	cache := qcongest.NewSketchCache(4, 0)
+	cache := qcongest.NewSketchCache(4)
 	sk := cache.Skeleton(g, s, 12, 2, eps)
 	if again := cache.Skeleton(g, s, 12, 2, eps); again != sk {
 		t.Fatal("identical query missed the cache")
@@ -40,9 +40,9 @@ func TestPublicSketchServing(t *testing.T) {
 	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("cache stats: %+v", st)
 	}
-	// Cached answers match a direct parallel build, which never
-	// undershoots the true eccentricity.
-	direct := qcongest.BuildSkeleton(g, s, 12, 2, eps, qcongest.SketchOpts{Workers: 2})
+	// Cached answers match a direct build, which never undershoots the
+	// true eccentricity.
+	direct := qcongest.BuildSkeleton(g, s, 12, 2, eps)
 	for _, v := range s {
 		num, den := cache.ApproxEccentricity(g, s, 12, 2, eps, v)
 		if num != direct.ApproxEccentricity(v) || den != direct.DenOut {

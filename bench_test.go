@@ -283,7 +283,7 @@ func BenchmarkSimSpineLeafE14(b *testing.B) {
 	cfgs := []exp.SpineLeafConfig{{Spines: 2, Leaves: 4, Hosts: 6}}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		pts, err := exp.SpineLeafSweep(cfgs, 8, int64(i), 0, 0)
+		pts, err := exp.SpineLeafSweep(cfgs, 8, int64(i), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,5 +1,5 @@
 // Distance-kernel benchmarks: skeleton construction and the end-to-end
-// experiment drivers it dominates (the BENCH_dist.json artifact).
+// experiment drivers it dominates.
 package qcongest_test
 
 import (
@@ -11,8 +11,8 @@ import (
 	"qcongest/internal/graph"
 )
 
-// skeletonWorkload is the fixed BENCH_dist.json workload: a random
-// connected graph with m = 4n weighted edges, 64 skeleton sources,
+// skeletonWorkload is the fixed skeleton workload: a random connected
+// graph with m = 4n weighted edges, 64 skeleton sources,
 // hop budget 64, k = 3, ε = EpsForN(n).
 func skeletonWorkload(n int) (*graph.Graph, []int, dist.Eps) {
 	rng := rand.New(rand.NewSource(5))
@@ -28,23 +28,20 @@ func skeletonWorkload(n int) (*graph.Graph, []int, dist.Eps) {
 // skeleton is released after each build, so the pooled arena
 // (graph.DistWorkspace, flat rows, overlay scratch) is recycled exactly
 // as the serving layer and the core evaluator recycle it.
-func benchBuildSkeleton(b *testing.B, n, workers int) {
+func benchBuildSkeleton(b *testing.B, n int) {
 	g, s, eps := skeletonWorkload(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sk := dist.BuildSkeletonWith(g, s, 64, 3, eps, dist.BuildSkeletonOpts{Workers: workers})
+		sk := dist.BuildSkeleton(g, s, 64, 3, eps)
 		sk.Release()
 	}
 }
 
-func BenchmarkBuildSkeletonN512(b *testing.B)  { benchBuildSkeleton(b, 512, 1) }
-func BenchmarkBuildSkeletonN1024(b *testing.B) { benchBuildSkeleton(b, 1024, 1) }
+func BenchmarkBuildSkeletonN512(b *testing.B)  { benchBuildSkeleton(b, 512) }
+func BenchmarkBuildSkeletonN1024(b *testing.B) { benchBuildSkeleton(b, 1024) }
 
-func BenchmarkBuildSkeletonN1024Workers4(b *testing.B) { benchBuildSkeleton(b, 1024, 4) }
-
-// benchEDriver is the end-to-end E-driver wall clock of BENCH_dist.json:
-// one full Theorem 1.1 diameter approximation (the E2 driver point) on
+// benchEDriver is the end-to-end E-driver wall clock: one full Theorem 1.1 diameter approximation (the E2 driver point) on
 // the same workload family, with a bounded set count so the run is
 // dominated by skeleton construction rather than the outer search.
 func benchEDriver(b *testing.B, n int) {

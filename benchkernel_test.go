@@ -1,7 +1,6 @@
 // Distance-kernel benchmarks on the high-degree expander (avg degree
 // 16) whose middle levels cover most of the graph. The skeleton build
-// and E-driver rows live in benchdist_test.go; BENCH_kernel.json keeps
-// the historical per-engine rows.
+// and E-driver rows live in benchdist_test.go.
 package qcongest_test
 
 import (

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	qcongestd -addr 127.0.0.1:8080 -cache 64 -buildslots 2 -distworkers 0
+//	qcongestd -addr 127.0.0.1:8080 -cache 64 -buildslots 2
 //	qcongestd -addr 127.0.0.1:8080 -data-dir /var/lib/qcongest -warm 8
 //	qcongestd -addr 127.0.0.1:8081 -data-dir /var/lib/qc-replica -follow http://127.0.0.1:8080
 //
@@ -82,7 +82,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		cache        = flag.Int("cache", 64, "sketch cache capacity (skeletons)")
-		distWorkers  = flag.Int("distworkers", 0, "worker fan-out per skeleton build (0 = dist.DefaultSkeletonWorkers)")
 		buildSlots   = flag.Int("buildslots", 2, "concurrent cold builds (sketch/batch/first-touch metrics)")
 		buildQueue   = flag.Int("buildqueue", 0, "queued cold builds before 503 (0 = 4x buildslots)")
 		querySlots   = flag.Int("queryslots", 256, "concurrent warm reads")
@@ -114,7 +113,6 @@ func main() {
 
 	s, err := svc.Open(svc.Config{
 		CacheCapacity:   *cache,
-		SketchWorkers:   *distWorkers,
 		BuildSlots:      *buildSlots,
 		BuildQueue:      *buildQueue,
 		QuerySlots:      *querySlots,

@@ -1,7 +1,7 @@
 // Command qload is the load generator for qcongestd: it registers a
 // workload graph, fires a configurable request mix at the daemon from
 // concurrent workers, and reports sustained throughput and latency
-// quantiles (optionally as JSON for BENCH_svc.json).
+// quantiles (optionally as JSON with -out).
 //
 // Mixes:
 //

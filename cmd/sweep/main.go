@@ -6,15 +6,10 @@
 //	-exp=quality     E5: approximation quality vs the (1+ε)² bound
 //	-exp=spineleaf   E14: quantum vs classical on leaf-spine DCN fabrics
 //
-// Three engine knobs apply across experiments: -workers shards every
-// simulation's round loop (every scenario, via congest.DefaultWorkers;
-// 0 = sequential), -distworkers fans every skeleton build's per-source
-// distance computations across a worker pool (via
-// dist.DefaultSkeletonWorkers; 0 = sequential), and -par bounds how
-// many simulations a spineleaf batch keeps in flight (the other
-// drivers batch at GOMAXPROCS). None changes any reported number — the
-// engine and the distance kernel are bit-deterministic across worker
-// counts.
+// Every simulation and every skeleton build runs sequentially; the
+// drivers run independent points concurrently. -par bounds how many
+// simulations a spineleaf batch keeps in flight (the other drivers
+// batch at GOMAXPROCS). It never changes a reported number.
 package main
 
 import (
@@ -25,39 +20,27 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"qcongest/internal/congest"
 	"qcongest/internal/core"
-	"qcongest/internal/dist"
 	"qcongest/internal/exp"
 )
 
 func main() {
 	var (
-		which   = flag.String("exp", "scaling-n", "experiment: scaling-n, scaling-d, crossover, quality, spineleaf")
-		ns      = flag.String("ns", "64,96,128,192,256", "comma-separated n values (scaling-n)")
-		ds      = flag.String("ds", "4,6,8,12,16,24", "comma-separated D values (scaling-d, crossover)")
-		n       = flag.Int("n", 128, "fixed n (scaling-d, crossover, quality)")
-		d       = flag.Int("d", 6, "fixed D (scaling-n)")
-		trials  = flag.Int("trials", 8, "trials (quality)")
-		mode    = flag.String("mode", "diameter", "diameter or radius")
-		seed    = flag.Int64("seed", 1, "random seed")
-		spines  = flag.Int("spines", 4, "spine switches (spineleaf)")
-		leaves  = flag.String("leaves", "4,8,16", "comma-separated leaf counts (spineleaf)")
-		hosts   = flag.Int("hosts", 8, "hosts per leaf (spineleaf)")
-		maxw    = flag.Int64("maxw", 16, "max random edge weight (spineleaf)")
-		workers = flag.Int("workers", 0, "engine worker shards per simulation, all experiments (0 = sequential)")
-		dworkrs = flag.Int("distworkers", 0, "distance-kernel workers per skeleton build, all experiments (0 = sequential)")
-		par     = flag.Int("par", 0, "concurrent simulations in a spineleaf batch (0 = GOMAXPROCS; other sweeps batch at GOMAXPROCS)")
+		which  = flag.String("exp", "scaling-n", "experiment: scaling-n, scaling-d, crossover, quality, spineleaf")
+		ns     = flag.String("ns", "64,96,128,192,256", "comma-separated n values (scaling-n)")
+		ds     = flag.String("ds", "4,6,8,12,16,24", "comma-separated D values (scaling-d, crossover)")
+		n      = flag.Int("n", 128, "fixed n (scaling-d, crossover, quality)")
+		d      = flag.Int("d", 6, "fixed D (scaling-n)")
+		trials = flag.Int("trials", 8, "trials (quality)")
+		mode   = flag.String("mode", "diameter", "diameter or radius")
+		seed   = flag.Int64("seed", 1, "random seed")
+		spines = flag.Int("spines", 4, "spine switches (spineleaf)")
+		leaves = flag.String("leaves", "4,8,16", "comma-separated leaf counts (spineleaf)")
+		hosts  = flag.Int("hosts", 8, "hosts per leaf (spineleaf)")
+		maxw   = flag.Int64("maxw", 16, "max random edge weight (spineleaf)")
+		par    = flag.Int("par", 0, "concurrent simulations in a spineleaf batch (0 = GOMAXPROCS; other sweeps batch at GOMAXPROCS)")
 	)
 	flag.Parse()
-
-	// Shard every simulation this process runs. Set once, before any
-	// simulation is constructed (see congest.DefaultWorkers). The
-	// spineleaf driver additionally receives the same value explicitly
-	// for its batched classical runs. The distance kernel gets the same
-	// treatment through dist.DefaultSkeletonWorkers.
-	congest.DefaultWorkers = *workers
-	dist.DefaultSkeletonWorkers = *dworkrs
 
 	m := core.DiameterMode
 	if *mode == "radius" {
@@ -127,7 +110,7 @@ func main() {
 		for _, l := range parseInts(*leaves) {
 			cfgs = append(cfgs, exp.SpineLeafConfig{Spines: *spines, Leaves: l, Hosts: *hosts})
 		}
-		pts, err := exp.SpineLeafSweep(cfgs, *maxw, *seed, *workers, *par)
+		pts, err := exp.SpineLeafSweep(cfgs, *maxw, *seed, *par)
 		die(err)
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "spines\tleaves\thosts\tn\tD\tquantum rounds\tclassical rounds\tratio\tn^0.9·D^0.3")

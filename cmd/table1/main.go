@@ -12,25 +12,16 @@ import (
 	"text/tabwriter"
 
 	"qcongest/internal/baseline"
-	"qcongest/internal/congest"
-	"qcongest/internal/dist"
 	"qcongest/internal/exp"
 )
 
 func main() {
 	var (
-		n       = flag.Int("n", 150, "workload size for the measured column")
-		d       = flag.Int("d", 6, "reference unweighted diameter for the analytic columns")
-		seed    = flag.Int64("seed", 1, "random seed")
-		workers = flag.Int("workers", 0, "engine worker shards per simulation (0 = sequential)")
-		dworkrs = flag.Int("distworkers", 0, "distance-kernel workers per skeleton build (0 = sequential)")
+		n    = flag.Int("n", 150, "workload size for the measured column")
+		d    = flag.Int("d", 6, "reference unweighted diameter for the analytic columns")
+		seed = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
-
-	// Both knobs are bit-deterministic: they change wall clock, never a
-	// measured number.
-	congest.DefaultWorkers = *workers
-	dist.DefaultSkeletonWorkers = *dworkrs
 
 	nf, df := float64(*n), float64(*d)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

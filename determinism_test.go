@@ -1,28 +1,28 @@
-// Determinism regression suite for the parallel CONGEST engine and the
-// parallel distance kernel: the engine contract (DESIGN.md §2.3) is
-// that Stats and the ordered Trace sequence are byte-identical across
-// Options.Workers values, and the skeleton-build contract (DESIGN.md
-// §3.6) is that every numerator is byte-identical across
-// BuildSkeletonOpts.Workers values. Part A pins the engine contract on
-// every congest.Proc in the repository with raw trace logs; Part B
-// re-runs the E1–E13 experiment drivers under the parallel engine (via
-// congest.DefaultWorkers) and asserts their full reports are unchanged;
-// Part C does the same for the distance kernel (direct skeleton builds
-// and the skeleton-heavy drivers, via dist.DefaultSkeletonWorkers);
-// Part D is the kernel-adversarial corpus (kernelDeterminismGraphs)
-// that Part C's direct builds and Part E both sweep; Part E extends the
-// contract over the wire codecs: a graph decoded from the text edge
+// Determinism regression suite. Every simulation and every skeleton
+// build runs sequentially, so the contract (DESIGN.md §2.3, §3.6) is
+// about the parallelism that remains, across independent runs: a run's
+// Stats, ordered Trace and report must not depend on what runs beside
+// it. Part A pins that for every congest.Proc in the repository: a
+// standalone run against concurrent copies of the same job on
+// congest.ForEach, the scheduler RunBatch runs its jobs on. Part B runs
+// each E1–E14 experiment driver twice, once with its across-point pools
+// degraded to plain loops (GOMAXPROCS 1) and once fanned out, and
+// asserts the full reports are identical; the second run also draws on
+// the buffer pools the first left behind. Part C runs the
+// skeleton-heavy drivers as concurrent copies, sharing the
+// process-wide build arenas, against a solo run. Part D is the
+// kernel-adversarial corpus (kernelDeterminismGraphs) that Part E
+// sweeps; Part E extends the contract over the wire codecs: a graph decoded from the text edge
 // list and from the binary varint-delta format must be
 // indistinguishable — same digest, same exact eccentricities,
 // byte-identical sketch numerators — so the serving layer may accept
 // either encoding of a graph and answer from either without the caller
 // being able to tell; Part F extends it over the cluster: a leader and
-// its WAL-shipped replicas — each configured with a different sketch
-// worker count — must serve byte-identical sketch numerators and exact
-// metrics for every replicated graph, both directly and through the
-// digest-routing proxy, which is the invariant that makes any-replica
-// reads sound. CI runs this file with -count=3 under the `determinism`
-// job.
+// its WAL-shipped replicas must serve byte-identical sketch numerators
+// and exact metrics for every replicated graph, both directly and
+// through the digest-routing proxy, which is the invariant that makes
+// any-replica reads sound. CI runs this file with -count=3 under the
+// `determinism` job.
 package qcongest_test
 
 import (
@@ -73,10 +73,26 @@ func (p *chatterProc) Step(round int, inbox []congest.Received) ([]congest.Send,
 	return out, round == p.rounds-1
 }
 
-// workerCounts are the engine configurations the satellite task pins:
-// sequential, small shard pool, and GOMAXPROCS.
-func workerCounts() []int {
-	return []int{1, 4, runtime.GOMAXPROCS(0)}
+// sameInConcurrentCopies runs run alone and then as four concurrent
+// copies on congest.ForEach, the scheduler RunBatch runs its jobs on,
+// and fails unless every copy returns what the solo run did.
+func sameInConcurrentCopies(t *testing.T, run func() (any, error)) any {
+	t.Helper()
+	ref, err := run()
+	if err != nil {
+		t.Fatalf("solo run: %v", err)
+	}
+	got, errs := make([]any, 4), make([]error, 4)
+	congest.ForEach(4, 4, func(j int) { got[j], errs[j] = run() })
+	for j := range got {
+		if errs[j] != nil {
+			t.Fatalf("concurrent copy %d: %v", j, errs[j])
+		}
+		if !reflect.DeepEqual(got[j], ref) {
+			t.Errorf("concurrent copy %d diverged from the solo run", j)
+		}
+	}
+	return ref
 }
 
 func TestDeterminismEngineWorkloads(t *testing.T) {
@@ -115,187 +131,107 @@ func TestDeterminismEngineWorkloads(t *testing.T) {
 		}},
 	}
 
+	type engineRun struct {
+		Stats congest.Stats
+		Log   []traceEntry
+	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
-			capture := func(workers int) (congest.Stats, []traceEntry, error) {
-				var log []traceEntry
-				opts := congest.Options{
-					Workers: workers,
-					Trace: func(round, from, to int, msg congest.Message) {
-						log = append(log, traceEntry{round, from, to, msg})
-					},
-				}
-				stats, err := w.run(opts)
-				return stats, log, err
-			}
-			refStats, refLog, refErr := capture(1)
-			if refErr != nil {
-				t.Fatalf("sequential run failed: %v", refErr)
-			}
-			if len(refLog) == 0 {
+			ref := sameInConcurrentCopies(t, func() (any, error) {
+				var r engineRun
+				var err error
+				r.Stats, err = w.run(congest.Options{Trace: func(round, from, to int, msg congest.Message) {
+					r.Log = append(r.Log, traceEntry{round, from, to, msg})
+				}})
+				return r, err
+			})
+			if len(ref.(engineRun).Log) == 0 {
 				t.Fatalf("workload produced no traffic; not a useful determinism probe")
-			}
-			for _, workers := range workerCounts()[1:] {
-				stats, log, err := capture(workers)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if stats != refStats {
-					t.Errorf("workers=%d: stats %+v != sequential %+v", workers, stats, refStats)
-				}
-				if !reflect.DeepEqual(log, refLog) {
-					t.Errorf("workers=%d: trace log diverged (%d vs %d entries)", workers, len(log), len(refLog))
-				}
 			}
 		})
 	}
 }
 
-// TestDeterminismExperimentDrivers runs each E1–E13 driver under the
-// sequential and parallel engines by flipping congest.DefaultWorkers
-// (E2/E3/E5/E6–E9/E12/E13 exercise no simulator rounds — their inclusion
-// pins exactly that) and asserts the full reports are identical.
+type driver struct {
+	name string
+	run  func() (any, error)
+}
+
+// skeletonDrivers are the drivers whose points run core.Approximate, and
+// so skeleton builds, concurrently.
+var skeletonDrivers = []driver{
+	{"E1/table1", func() (any, error) { return exp.MeasuredTable1(40, 3) }},
+	{"E2/scaling-n", func() (any, error) {
+		pts, fit, err := exp.ScalingInN([]int{16, 24}, 4, core.DiameterMode, 3)
+		return []any{pts, fit}, err
+	}},
+	{"E5/quality", func() (any, error) { return exp.Quality(2, 24, core.DiameterMode, 3) }},
+	{"E14/spineleaf", func() (any, error) {
+		return exp.SpineLeafSweep([]exp.SpineLeafConfig{{Spines: 2, Leaves: 3, Hosts: 3}}, 4, 3, 0)
+	}},
+}
+
+// TestDeterminismExperimentDrivers runs each E1–E14 driver first with
+// GOMAXPROCS 1, where congest.ForEach and RunBatch degrade to plain
+// loops, and then with at least two procs, where the drivers that batch
+// their points (E1–E5, E14) fan them out. The full reports must be
+// identical.
 func TestDeterminismExperimentDrivers(t *testing.T) {
-	drivers := []struct {
-		name string
-		run  func() (interface{}, error)
-	}{
-		{"E1/table1", func() (interface{}, error) { return exp.MeasuredTable1(40, 3) }},
-		{"E2/scaling-n", func() (interface{}, error) {
-			pts, fit, err := exp.ScalingInN([]int{16, 24}, 4, core.DiameterMode, 3)
-			return []interface{}{pts, fit}, err
-		}},
-		{"E3/scaling-d", func() (interface{}, error) {
+	drivers := append([]driver{
+		{"E3/scaling-d", func() (any, error) {
 			pts, fit, err := exp.ScalingInD(24, []int{4, 6}, core.DiameterMode, 3)
-			return []interface{}{pts, fit}, err
+			return []any{pts, fit}, err
 		}},
-		{"E4/crossover", func() (interface{}, error) { return exp.Crossover(32, []int{4, 8}, 3) }},
-		{"E5/quality", func() (interface{}, error) { return exp.Quality(2, 24, core.DiameterMode, 3) }},
-		{"E6/figure1", func() (interface{}, error) { return exp.Figure1Suite([]int{2, 3}, 3), nil }},
-		{"E7/diameter-gap", func() (interface{}, error) { return exp.GapExperiment(2, false, 2, 3) }},
-		{"E8/table2", func() (interface{}, error) {
+		{"E4/crossover", func() (any, error) { return exp.Crossover(32, []int{4, 8}, 3) }},
+		{"E6/figure1", func() (any, error) { return exp.Figure1Suite([]int{2, 3}, 3), nil }},
+		{"E7/diameter-gap", func() (any, error) { return exp.GapExperiment(2, false, 2, 3) }},
+		{"E8/table2", func() (any, error) {
 			vio, checked, err := exp.Table2Experiment(2, 1, 3)
 			return []int{vio, checked}, err
 		}},
-		{"E9/radius-gap", func() (interface{}, error) { return exp.GapExperiment(2, true, 2, 3) }},
-		{"E10/simulation", func() (interface{}, error) { return exp.SimulationExperiment(4, 3) }},
-		{"E11/reduction", func() (interface{}, error) { return exp.ReductionExperiment(2, 1, 3) }},
-		{"E12/grover", func() (interface{}, error) {
+		{"E9/radius-gap", func() (any, error) { return exp.GapExperiment(2, true, 2, 3) }},
+		{"E10/simulation", func() (any, error) { return exp.SimulationExperiment(4, 3) }},
+		{"E11/reduction", func() (any, error) { return exp.ReductionExperiment(2, 1, 3) }},
+		{"E12/grover", func() (any, error) {
 			rng := rand.New(rand.NewSource(3))
 			return qsim.BBHT(qsim.Sampled, 1<<10, func(x uint64) bool { return x == 77 }, rng), nil
 		}},
-		{"E13/formulas", func() (interface{}, error) { return exp.FormulaExperiment(4) }},
-		{"E14/spineleaf", func() (interface{}, error) {
-			return exp.SpineLeafSweep([]exp.SpineLeafConfig{{Spines: 2, Leaves: 3, Hosts: 3}}, 4, 3, 0, 0)
-		}},
-	}
+		{"E13/formulas", func() (any, error) { return exp.FormulaExperiment(4) }},
+	}, skeletonDrivers...)
 
-	defer func() { congest.DefaultWorkers = 0 }()
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	fanned := max(procs, 2)
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			congest.DefaultWorkers = 0
+			runtime.GOMAXPROCS(1)
 			ref, err := d.run()
+			runtime.GOMAXPROCS(fanned)
 			if err != nil {
-				t.Fatalf("sequential: %v", err)
+				t.Fatalf("GOMAXPROCS=1: %v", err)
 			}
-			for _, workers := range workerCounts() {
-				congest.DefaultWorkers = workers
-				got, err := d.run()
-				congest.DefaultWorkers = 0
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("workers=%d: report diverged from sequential run:\n got %s\nwant %s",
-						workers, fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", ref))
-				}
+			got, err := d.run()
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %v", fanned, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("GOMAXPROCS=%d: report diverged from the GOMAXPROCS=1 run:\n got %s\nwant %s",
+					fanned, fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", ref))
 			}
 		})
 	}
 }
 
-// TestDeterminismSkeletonWorkers pins the distance kernel's worker
-// contract on the exported surface: skeleton numerators (queried as
-// approximate eccentricities over every vertex, plus the TopMass
-// aggregate the outer search consumes) are byte-identical for
-// Workers ∈ {1, 4, GOMAXPROCS}, over the E-family shapes and the
-// kernel-adversarial corpus.
-func TestDeterminismSkeletonWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	graphs := []*graph.Graph{
-		graph.RandomWeights(graph.RandomConnected(48, 140, rng), 11, rng),
-		graph.RandomWeights(graph.SpineLeaf(3, 5, 4, 2, 1), 7, rng),
-		graph.RandomWeights(graph.DiameterControlled(40, 8, rng), 16, rng),
-	}
-	for gi, g := range append(graphs, kernelDeterminismGraphs()...) {
-		var s []int
-		for v := 0; v < g.N(); v += 3 {
-			s = append(s, v)
-		}
-		eps := dist.EpsForN(g.N())
-		capture := func(workers int) ([]int64, float64) {
-			sk := dist.BuildSkeletonWith(g, s, g.N()/2, 2, eps, dist.BuildSkeletonOpts{Workers: workers})
-			eccs := make([]int64, g.N())
-			for v := range eccs {
-				eccs[v] = sk.ApproxEccentricity(v)
-			}
-			mass := dist.TopMass(sk, eccs[s[0]])
-			sk.Release()
-			return eccs, mass
-		}
-		refEccs, refMass := capture(1)
-		for _, workers := range workerCounts()[1:] {
-			eccs, mass := capture(workers)
-			if !reflect.DeepEqual(eccs, refEccs) || mass != refMass {
-				t.Errorf("graph %d, workers=%d: skeleton numerators diverged from sequential build", gi, workers)
-			}
-		}
-	}
-}
-
-// TestDeterminismSkeletonDrivers re-runs the skeleton-heavy experiment
-// drivers with dist.DefaultSkeletonWorkers flipped across the worker
-// grid and asserts the full reports are identical: the parallel
-// distance kernel must be invisible in every reported number.
+// TestDeterminismSkeletonDrivers runs each skeleton-heavy driver as
+// concurrent copies that share the pooled skeleton and simulator
+// buffers, as concurrent cold builds share them in the daemon.
 func TestDeterminismSkeletonDrivers(t *testing.T) {
-	drivers := []struct {
-		name string
-		run  func() (interface{}, error)
-	}{
-		{"E1/table1", func() (interface{}, error) { return exp.MeasuredTable1(40, 3) }},
-		{"E2/scaling-n", func() (interface{}, error) {
-			pts, fit, err := exp.ScalingInN([]int{16, 24}, 4, core.DiameterMode, 3)
-			return []interface{}{pts, fit}, err
-		}},
-		{"E5/quality", func() (interface{}, error) { return exp.Quality(2, 24, core.DiameterMode, 3) }},
-		{"E14/spineleaf", func() (interface{}, error) {
-			return exp.SpineLeafSweep([]exp.SpineLeafConfig{{Spines: 2, Leaves: 3, Hosts: 3}}, 4, 3, 0, 0)
-		}},
-	}
-	defer func() { dist.DefaultSkeletonWorkers = 0 }()
-	for _, d := range drivers {
-		t.Run(d.name, func(t *testing.T) {
-			dist.DefaultSkeletonWorkers = 0
-			ref, err := d.run()
-			if err != nil {
-				t.Fatalf("sequential: %v", err)
-			}
-			for _, workers := range workerCounts() {
-				dist.DefaultSkeletonWorkers = workers
-				got, err := d.run()
-				dist.DefaultSkeletonWorkers = 0
-				if err != nil {
-					t.Fatalf("distworkers=%d: %v", workers, err)
-				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("distworkers=%d: report diverged from sequential run", workers)
-				}
-			}
-		})
+	for _, d := range skeletonDrivers {
+		t.Run(d.name, func(t *testing.T) { sameInConcurrentCopies(t, d.run) })
 	}
 }
 
-// kernelDeterminismGraphs is the Part D corpus, swept by Parts C and E: a
+// kernelDeterminismGraphs is the Part D corpus, swept by Part E: a
 // random graph and a barbell of the E-family plus the kernel-adversarial
 // shapes — a star (the frontier jumps to n-1 in one hop), a long path
 // (the frontier never grows), a high-degree fabric (the bottom-up BFS
@@ -351,7 +287,7 @@ func TestDeterminismCodecParity(t *testing.T) {
 		for v := 0; v < g.N(); v += 3 {
 			s = append(s, v)
 		}
-		sk := dist.BuildSkeletonWith(g, s, g.N()/2, 2, dist.EpsForN(g.N()), dist.BuildSkeletonOpts{})
+		sk := dist.BuildSkeleton(g, s, g.N()/2, 2, dist.EpsForN(g.N()))
 		eccs := make([]int64, g.N())
 		for v := range eccs {
 			eccs[v] = sk.ApproxEccentricity(v)
@@ -388,10 +324,8 @@ func TestDeterminismCodecParity(t *testing.T) {
 // TestDeterminismClusterReplicaParity is Part F: the determinism
 // contract across a live replication cluster. One shard — a durable
 // leader plus a durable and an in-memory follower, each tailing the
-// leader's log over /v1/replicate — behind a digest-routing proxy. The
-// three nodes deliberately run DIFFERENT sketch worker counts (1, 4,
-// GOMAXPROCS), so equality across replicas is simultaneously equality
-// across the parallel kernel's fan-out. Every replicated graph must
+// leader's log over /v1/replicate — behind a digest-routing proxy. Every
+// replicated graph must
 // answer the same digest, the same exact diameter, and byte-identical
 // sketch numerators from every node and through the router.
 func TestDeterminismClusterReplicaParity(t *testing.T) {
@@ -399,9 +333,8 @@ func TestDeterminismClusterReplicaParity(t *testing.T) {
 		t.Skip("cluster parity is not a -short test")
 	}
 	poll := 20 * time.Millisecond
-	workers := []int{1, 4, runtime.GOMAXPROCS(0)}
 
-	leader, err := svc.Open(svc.Config{DataDir: t.TempDir(), SketchWorkers: workers[0]})
+	leader, err := svc.Open(svc.Config{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("leader: %v", err)
 	}
@@ -410,8 +343,7 @@ func TestDeterminismClusterReplicaParity(t *testing.T) {
 	defer lts.Close()
 
 	durable, err := svc.Open(svc.Config{
-		DataDir: t.TempDir(), SketchWorkers: workers[1],
-		FollowURL: lts.URL, FollowPoll: poll,
+		DataDir: t.TempDir(), FollowURL: lts.URL, FollowPoll: poll,
 	})
 	if err != nil {
 		t.Fatalf("durable follower: %v", err)
@@ -420,10 +352,7 @@ func TestDeterminismClusterReplicaParity(t *testing.T) {
 	dts := httptest.NewServer(durable)
 	defer dts.Close()
 
-	inmem, err := svc.Open(svc.Config{
-		SketchWorkers: workers[2],
-		FollowURL:     lts.URL, FollowPoll: poll,
-	})
+	inmem, err := svc.Open(svc.Config{FollowURL: lts.URL, FollowPoll: poll})
 	if err != nil {
 		t.Fatalf("in-memory follower: %v", err)
 	}

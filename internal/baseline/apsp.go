@@ -220,14 +220,14 @@ func diamRadius(d [][]int64) (diam, radius int64) {
 // ClassicalDiameterBatch runs the APSP baseline over many networks
 // concurrently through congest.RunBatch (at most `parallelism` sims in
 // flight; <= 0 selects GOMAXPROCS). Per-network results are identical to
-// ClassicalDiameter — each simulation is independent and seeded from its
-// own Options — and are returned in input order. The first simulation
+// ClassicalDiameter with default Options — each simulation is
+// independent — and are returned in input order. The first simulation
 // error aborts the batch report.
-func ClassicalDiameterBatch(gs []*graph.Graph, opts congest.Options, parallelism int) (diams, radii []int64, stats []congest.Stats, err error) {
+func ClassicalDiameterBatch(gs []*graph.Graph, parallelism int) (diams, radii []int64, stats []congest.Stats, err error) {
 	jobs := make([]congest.BatchJob, len(gs))
 	nodes := make([][]*apspProc, len(gs))
 	for i, g := range gs {
-		budget, jobOpts := apspDefaults(g.N(), 0, opts)
+		budget, jobOpts := apspDefaults(g.N(), 0, congest.Options{})
 		nodes[i] = make([]*apspProc, g.N())
 		procs := nodes[i]
 		jobs[i] = congest.BatchJob{

@@ -22,6 +22,7 @@ import (
 	"mime"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -353,15 +354,43 @@ func (rt *Router) forward(ctx context.Context, p *peer, method, uri string, hdr 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	limit := rt.cfg.backendLimit(len(body))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		p.errors.Add(1)
 		return nil, err
+	}
+	if int64(len(b)) > limit {
+		// Never relay a truncated body under the backend's status: the
+		// oversized answer is a peer error, and the client gets a 502.
+		eb, _ := json.Marshal(svc.ErrorResponse{Error: fmt.Sprintf("node %s answered more than %d bytes", p.url, limit)})
+		resp.StatusCode, resp.Header, b = http.StatusBadGateway, http.Header{"Content-Type": {"application/json"}}, eb
 	}
 	if resp.StatusCode >= 500 {
 		p.errors.Add(1)
 	}
 	return &proxied{status: resp.StatusCode, header: resp.Header, body: b}, nil
+}
+
+// backendLimit bounds one buffered backend answer to a request whose
+// body is reqBody bytes long. It is sized from the caps the router
+// shares with its daemons, so no answer a daemon within them can give
+// is cut:
+//   - A graph export is largest as the text edge list: per edge two
+//     node IDs below MaxNodes, an int64 weight of at most 19 digits,
+//     two spaces and a newline. At the defaults that is 6+6+19+3 = 34
+//     bytes × 2^21 edges = 68 MiB.
+//   - A sketch answer holds one {"v":V,"num":N} entry per requested
+//     vertex: 33 bytes plus V's digits, with the separating comma and a
+//     19-digit numerator. The request names V in at least V's digits
+//     plus a comma, so the answer is at most 17 bytes per request byte
+//     (and the request itself is capped at MaxBodyBytes).
+//   - Everything else (info, metrics, listings, batch results, errors)
+//     is a few hundred bytes per graph or job, covered by the export
+//     term and 1 MiB of slack for headers and envelopes.
+func (c Config) backendLimit(reqBody int) int64 {
+	line := int64(2*len(strconv.Itoa(c.MaxNodes)) + 19 + 3)
+	return line*int64(c.MaxEdges) + 17*int64(reqBody) + 1<<20
 }
 
 // writeProxied relays a buffered backend answer to the client.
@@ -622,7 +651,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]svc.BatchEntry, len(req.Digests))
 	for shard, g := range groups {
-		sub, err := json.Marshal(svc.BatchRequest{Digests: g.digests, Workers: req.Workers, Parallelism: req.Parallelism})
+		sub, err := json.Marshal(svc.BatchRequest{Digests: g.digests, Parallelism: req.Parallelism})
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return

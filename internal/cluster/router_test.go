@@ -706,6 +706,9 @@ func TestRouterValidation(t *testing.T) {
 	if code := post("/v1/batch", `{"digests":["zebra"]}`); code != http.StatusBadRequest {
 		t.Fatalf("batch with a malformed digest: %d", code)
 	}
+	if code := post("/v1/batch", `{"digests":["0123456789abcdef"],"workers":2}`); code != http.StatusBadRequest {
+		t.Fatalf("batch with the removed workers field: %d", code)
+	}
 	if code := get("/v1/graphs/zebra"); code != http.StatusBadRequest {
 		t.Fatalf("read with a malformed digest: %d", code)
 	}

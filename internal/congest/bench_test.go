@@ -36,7 +36,7 @@ func (p *gossipProc) Step(round int, inbox []Received) ([]Send, bool) {
 	return p.out, round == p.rounds-1
 }
 
-func benchFlood(b *testing.B, n, m, rounds, workers int) {
+func benchFlood(b *testing.B, n, m, rounds int) {
 	rng := rand.New(rand.NewSource(int64(n)))
 	g := graph.RandomConnected(n, m, rng)
 	b.ReportAllocs()
@@ -44,7 +44,6 @@ func benchFlood(b *testing.B, n, m, rounds, workers int) {
 	for i := 0; i < b.N; i++ {
 		stats, err := RunProcs(g, func(int) Proc { return &gossipProc{rounds: rounds} }, Options{
 			MaxRounds: rounds + 2,
-			Workers:   workers,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -55,9 +54,8 @@ func benchFlood(b *testing.B, n, m, rounds, workers int) {
 	}
 }
 
-func BenchmarkSimFloodN512(b *testing.B)   { benchFlood(b, 512, 2048, 64, 0) }
-func BenchmarkSimFloodN512W4(b *testing.B) { benchFlood(b, 512, 2048, 64, 4) }
-func BenchmarkSimFloodN1024(b *testing.B)  { benchFlood(b, 1024, 4096, 64, 0) }
+func BenchmarkSimFloodN512(b *testing.B)  { benchFlood(b, 512, 2048, 64) }
+func BenchmarkSimFloodN1024(b *testing.B) { benchFlood(b, 1024, 4096, 64) }
 
 // BenchmarkSimBatchN512 runs 8 independent 512-node floods through
 // RunBatch: the sweep shape, where buffer pooling across runs and

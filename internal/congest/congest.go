@@ -9,12 +9,11 @@
 //
 // Round complexity is a combinatorial property of the schedule, so the
 // simulator reproduces the paper's cost measure exactly; wall-clock time is
-// irrelevant to the model. The engine is therefore free to execute as fast
-// as the hardware allows: node steps are sharded across a worker pool
-// (Options.Workers) with a round barrier, and per-shard outboxes are merged
-// in node order, so Stats and every Trace callback sequence are
-// byte-identical to the sequential engine regardless of worker count. See
-// DESIGN.md §2.3 for the determinism contract.
+// irrelevant to the model. Each run therefore steps its nodes on one
+// goroutine in node order, which makes Stats and every Trace callback
+// sequence a pure function of the inputs; independent runs go in parallel
+// one level up, through RunBatch and ForEach. See DESIGN.md §2.3 for the
+// determinism contract.
 package congest
 
 import (
@@ -64,12 +63,6 @@ type Env struct {
 // previous round) and returns the outbox plus whether this node has
 // produced its final output. A done node keeps receiving Step calls (its
 // links still carry traffic) but typically returns an empty outbox.
-//
-// When Options.Workers > 1, Step calls for different nodes may run
-// concurrently within a round. A Proc must therefore be goroutine-confined:
-// it may touch its own state, its Env (including Env.Rand, which is
-// per-node), and read-only shared inputs, but not mutable state shared
-// with other nodes' procs.
 type Proc interface {
 	Init(env *Env)
 	Step(round int, inbox []Received) (outbox []Send, done bool)
@@ -96,15 +89,6 @@ var ErrCongestion = errors.New("congest: per-edge bandwidth exceeded")
 // finish.
 var ErrRoundLimit = errors.New("congest: round limit exceeded")
 
-// DefaultWorkers is the worker count used when Options.Workers is 0. It
-// exists for process-wide front-ends that cannot thread a knob through
-// every experiment driver: the determinism regression suite flips every
-// simulation in the repository onto the parallel engine with it, and
-// cmd/sweep maps its -workers flag onto it. Set it once, before any
-// simulation is constructed — the read in withDefaults is
-// unsynchronized. Library callers should set Options.Workers explicitly.
-var DefaultWorkers int
-
 // Options configure a run.
 type Options struct {
 	// Capacity is the number of messages each directed edge can carry per
@@ -119,16 +103,11 @@ type Options struct {
 	// Step index during which the message was sent. Used by the Server-
 	// model simulation (Lemma 4.1) to count party-crossing traffic.
 	// Within one run, Trace is always invoked from a single goroutine,
-	// in the same deterministic order regardless of Workers: messages
-	// are observed in sender-node order, and within one sender in outbox
-	// order. (Across concurrent RunBatch jobs each run invokes its own
-	// Trace concurrently with the others — see RunBatch.)
+	// in a deterministic order: messages are observed in sender-node
+	// order, and within one sender in outbox order. (Across concurrent
+	// RunBatch jobs each run invokes its own Trace concurrently with the
+	// others — see RunBatch.)
 	Trace func(round, from, to int, msg Message)
-	// Workers shards the per-round Step loop across this many goroutines.
-	// 0 uses DefaultWorkers (normally sequential); 1 is sequential.
-	// Stats and Trace sequences are identical for every value. Procs must
-	// be goroutine-confined when Workers > 1 (see Proc).
-	Workers int
 }
 
 func (o Options) withDefaults(n int) Options {
@@ -137,12 +116,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 4*n*n + 64
-	}
-	if o.Workers == 0 {
-		o.Workers = DefaultWorkers
-	}
-	if o.Workers > n {
-		o.Workers = n
 	}
 	return o
 }
@@ -229,8 +202,6 @@ type simBuffers struct {
 	done        []bool
 	edgeLoad    []int32
 	dirty       []int32
-	outs        [][]Send // parallel mode: per-node outboxes awaiting merge
-	dones       []bool
 }
 
 var bufPool sync.Pool
@@ -243,12 +214,6 @@ func getBuffers(n, arcs int) *simBuffers {
 	b.inboxes = resizeInboxes(b.inboxes, n)
 	b.nextInboxes = resizeInboxes(b.nextInboxes, n)
 	b.done = resizeBools(b.done, n)
-	b.dones = resizeBools(b.dones, n)
-	if cap(b.outs) < n {
-		b.outs = make([][]Send, n)
-	} else {
-		b.outs = b.outs[:n]
-	}
 	if cap(b.edgeLoad) < arcs {
 		b.edgeLoad = make([]int32, arcs)
 	} else {
@@ -258,13 +223,10 @@ func getBuffers(n, arcs int) *simBuffers {
 	return b
 }
 
-// putBuffers re-establishes the zero-load invariant and drops references
-// into caller data (outboxes) before returning the buffer to the pool.
+// putBuffers re-establishes the zero-load invariant before returning the
+// buffer to the pool.
 func putBuffers(b *simBuffers) {
 	b.resetLoads()
-	for i := range b.outs {
-		b.outs[i] = nil
-	}
 	bufPool.Put(b)
 }
 
@@ -341,12 +303,6 @@ func (s *Sim) Run() (Stats, error) {
 	bufs := getBuffers(n, len(s.edges.to))
 	defer putBuffers(bufs)
 
-	var pool *stepPool
-	if s.opts.Workers > 1 {
-		pool = s.newStepPool(bufs)
-		defer pool.stop()
-	}
-
 	var stats Stats
 	rs := roundState{}
 	for round := 0; ; round++ {
@@ -355,23 +311,11 @@ func (s *Sim) Run() (Stats, error) {
 		}
 		rs.volume = 0
 		rs.anyActive = false
-		if pool != nil {
-			pool.step(round)
-			for i := 0; i < n; i++ {
-				err := s.deliver(round, i, bufs.outs[i], bufs.dones[i], bufs, &rs)
-				bufs.outs[i] = nil
-				if err != nil {
-					s.settleMaxLoad(bufs, &stats)
-					return stats, err
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				out, d := s.procs[i].Step(round, bufs.inboxes[i])
-				if err := s.deliver(round, i, out, d, bufs, &rs); err != nil {
-					s.settleMaxLoad(bufs, &stats)
-					return stats, err
-				}
+		for i := 0; i < n; i++ {
+			out, d := s.procs[i].Step(round, bufs.inboxes[i])
+			if err := s.deliver(round, i, out, d, bufs, &rs); err != nil {
+				s.settleMaxLoad(bufs, &stats)
+				return stats, err
 			}
 		}
 		s.settleMaxLoad(bufs, &stats)
@@ -389,65 +333,6 @@ func (s *Sim) Run() (Stats, error) {
 		}
 		bufs.inboxes, bufs.nextInboxes = bufs.nextInboxes, bufs.inboxes
 		bufs.resetLoads()
-	}
-}
-
-// stepPool is the persistent worker pool for the sharded Step loop:
-// workers are started once per Run and parked on per-worker round
-// channels, so a long simulation pays channel handoffs per round, not
-// goroutine spawns. Each worker owns a fixed contiguous node range and
-// only writes its own nodes' slots of outs/dones; all accounting happens
-// afterwards in the deterministic node-order merge. step's final done
-// receive is the happens-before edge that lets the merge goroutine read
-// every slot, and the next step's round send is the edge that lets
-// workers see the swapped inboxes.
-type stepPool struct {
-	rounds []chan int
-	done   chan struct{}
-}
-
-func (s *Sim) newStepPool(bufs *simBuffers) *stepPool {
-	n := s.g.N()
-	chunk := (n + s.opts.Workers - 1) / s.opts.Workers
-	p := &stepPool{done: make(chan struct{})}
-	for w := 0; w < s.opts.Workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		ch := make(chan int, 1)
-		p.rounds = append(p.rounds, ch)
-		go func(ch chan int, lo, hi int) {
-			for round := range ch {
-				for i := lo; i < hi; i++ {
-					bufs.outs[i], bufs.dones[i] = s.procs[i].Step(round, bufs.inboxes[i])
-				}
-				p.done <- struct{}{}
-			}
-		}(ch, lo, hi)
-	}
-	return p
-}
-
-// step runs one sharded round and returns after every worker finished.
-func (p *stepPool) step(round int) {
-	for _, ch := range p.rounds {
-		ch <- round
-	}
-	for range p.rounds {
-		<-p.done
-	}
-}
-
-// stop retires the workers. Run defers it before the buffers return to
-// the pool (LIFO), so no worker can touch a recycled buffer.
-func (p *stepPool) stop() {
-	for _, ch := range p.rounds {
-		close(ch)
 	}
 }
 
@@ -472,9 +357,8 @@ func (s *Sim) settleMaxLoad(bufs *simBuffers, stats *Stats) {
 }
 
 // deliver merges one node's outbox into the next round's inboxes with
-// exact congestion accounting. It runs on a single goroutine in node
-// order, which is what makes Stats and Trace identical across worker
-// counts.
+// exact congestion accounting. Run calls it in node order, which is what
+// makes Stats and Trace deterministic.
 func (s *Sim) deliver(round, i int, out []Send, d bool, bufs *simBuffers, rs *roundState) error {
 	if d && !bufs.done[i] {
 		bufs.done[i] = true

@@ -60,12 +60,13 @@ func (p *burstProc) Step(round int, inbox []Received) ([]Send, bool) {
 	return out, true
 }
 
-// FuzzSimCongestion drives random schedules through the sequential and
-// parallel engines and checks that (1) the parallel engine is
-// bit-identical to the sequential one — Stats, ordered Trace, and error
-// text — and (2) Stats stay internally consistent under arbitrary
-// procs. The companion TestCongestionThreshold pins the exact
-// ErrCongestion boundary over its whole (constant) domain.
+// FuzzSimCongestion drives random schedules through a standalone Run and
+// through four copies of the same job in a concurrent RunBatch, and
+// checks that (1) every batched copy is bit-identical to the standalone
+// run — Stats, ordered Trace, and error text — and (2) Stats stay
+// internally consistent under arbitrary procs. The companion
+// TestCongestionThreshold pins the exact ErrCongestion boundary over its
+// whole (constant) domain.
 func FuzzSimCongestion(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(12), uint8(1), uint8(3), []byte{0, 1, 2, 3})
 	f.Add(int64(2), uint8(20), uint8(40), uint8(2), uint8(5), []byte{7, 0, 0, 128, 9})
@@ -81,87 +82,80 @@ func FuzzSimCongestion(f *testing.F) {
 		rounds := 1 + int(roundsRaw)%6
 		g := graph.RandomConnected(n, m, rand.New(rand.NewSource(seed)))
 
-		type run struct {
-			stats Stats
-			log   []traceRec
-			err   error
-		}
-		exec := func(workers int) run {
-			var r run
-			r.stats, r.err = RunProcs(g, func(int) Proc { return &scriptProc{script: script, rounds: rounds} }, Options{
+		job := func(log *[]traceRec) BatchJob {
+			return BatchJob{G: g, Mk: func(int) Proc { return &scriptProc{script: script, rounds: rounds} }, Opts: Options{
 				Capacity:  capacity,
 				MaxRounds: rounds + 2,
 				Seed:      seed,
-				Workers:   workers,
 				Trace: func(round, from, to int, msg Message) {
-					r.log = append(r.log, traceRec{round, from, to, msg})
+					*log = append(*log, traceRec{round, from, to, msg})
 				},
-			})
-			return r
+			}}
 		}
-		seq := exec(1)
-		for _, workers := range []int{2, 4} {
-			par := exec(workers)
-			if seq.stats != par.stats {
-				t.Fatalf("workers=%d: stats %+v != sequential %+v", workers, par.stats, seq.stats)
+		var seq []traceRec
+		solo := job(&seq)
+		stats, err := RunProcs(solo.G, solo.Mk, solo.Opts)
+		logs := make([][]traceRec, 4)
+		jobs := make([]BatchJob, len(logs))
+		for j := range jobs {
+			jobs[j] = job(&logs[j])
+		}
+		for j, res := range RunBatch(jobs, len(jobs)) {
+			if res.Stats != stats {
+				t.Fatalf("batch job %d: stats %+v != standalone %+v", j, res.Stats, stats)
 			}
-			if !reflect.DeepEqual(seq.log, par.log) {
-				t.Fatalf("workers=%d: trace diverged (%d vs %d entries)", workers, len(par.log), len(seq.log))
+			if !reflect.DeepEqual(logs[j], seq) {
+				t.Fatalf("batch job %d: trace diverged (%d vs %d entries)", j, len(logs[j]), len(seq))
 			}
-			if (seq.err == nil) != (par.err == nil) || (seq.err != nil && seq.err.Error() != par.err.Error()) {
-				t.Fatalf("workers=%d: err %v != sequential %v", workers, par.err, seq.err)
+			if (res.Err == nil) != (err == nil) || (err != nil && res.Err.Error() != err.Error()) {
+				t.Fatalf("batch job %d: err %v != standalone %v", j, res.Err, err)
 			}
 		}
 
 		// Stats integrity under an arbitrary schedule: the trace is the
 		// ground truth the counters must agree with.
-		if seq.err != nil {
-			t.Fatalf("scripted schedule must be legal (<= 1 msg/edge/round): %v", seq.err)
+		if err != nil {
+			t.Fatalf("scripted schedule must be legal (<= 1 msg/edge/round): %v", err)
 		}
-		if int64(len(seq.log)) != seq.stats.Messages {
-			t.Fatalf("stats counted %d messages, trace saw %d", seq.stats.Messages, len(seq.log))
+		if int64(len(seq)) != stats.Messages {
+			t.Fatalf("stats counted %d messages, trace saw %d", stats.Messages, len(seq))
 		}
-		if seq.stats.MaxEdgeLoad > capacity {
-			t.Fatalf("MaxEdgeLoad %d exceeds capacity %d without an error", seq.stats.MaxEdgeLoad, capacity)
+		if stats.MaxEdgeLoad > capacity {
+			t.Fatalf("MaxEdgeLoad %d exceeds capacity %d without an error", stats.MaxEdgeLoad, capacity)
 		}
-		if seq.stats.BusiestVolume > seq.stats.Messages {
-			t.Fatalf("busiest round volume %d exceeds total %d", seq.stats.BusiestVolume, seq.stats.Messages)
+		if stats.BusiestVolume > stats.Messages {
+			t.Fatalf("busiest round volume %d exceeds total %d", stats.BusiestVolume, stats.Messages)
 		}
 		perRound := map[int]int64{}
-		for _, e := range seq.log {
+		for _, e := range seq {
 			perRound[e.round]++
 		}
-		if perRound[seq.stats.BusiestRound] != seq.stats.BusiestVolume && seq.stats.Messages > 0 {
+		if perRound[stats.BusiestRound] != stats.BusiestVolume && stats.Messages > 0 {
 			t.Fatalf("busiest round %d carried %d messages, stats claim %d",
-				seq.stats.BusiestRound, perRound[seq.stats.BusiestRound], seq.stats.BusiestVolume)
+				stats.BusiestRound, perRound[stats.BusiestRound], stats.BusiestVolume)
 		}
 	})
 }
 
-// TestCongestionThreshold pins the exact bandwidth boundary on both
-// engines: k messages on one edge succeed for k <= Capacity with
-// MaxEdgeLoad = k, and ErrCongestion fires at exactly Capacity+1. The
-// domain is tiny and constant, so it lives here as a table test rather
-// than inside the fuzz body.
+// TestCongestionThreshold pins the exact bandwidth boundary: k messages
+// on one edge succeed for k <= Capacity with MaxEdgeLoad = k, and
+// ErrCongestion fires at exactly Capacity+1. The domain is tiny and
+// constant, so it lives here as a table test rather than inside the fuzz
+// body.
 func TestCongestionThreshold(t *testing.T) {
 	two := graph.Path(2)
 	for capacity := 1; capacity <= 4; capacity++ {
-		for _, workers := range []int{1, 4} {
-			okStats, err := RunProcs(two, func(int) Proc { return &burstProc{count: capacity} }, Options{
-				Capacity: capacity, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d: %d messages within capacity %d errored: %v", workers, capacity, capacity, err)
-			}
-			if okStats.MaxEdgeLoad != capacity {
-				t.Fatalf("workers=%d: MaxEdgeLoad = %d, want %d", workers, okStats.MaxEdgeLoad, capacity)
-			}
-			if _, err := RunProcs(two, func(int) Proc { return &burstProc{count: capacity + 1} }, Options{
-				Capacity: capacity, Workers: workers,
-			}); !errors.Is(err, ErrCongestion) {
-				t.Fatalf("workers=%d: %d messages over capacity %d: err = %v, want ErrCongestion",
-					workers, capacity+1, capacity, err)
-			}
+		okStats, err := RunProcs(two, func(int) Proc { return &burstProc{count: capacity} }, Options{Capacity: capacity})
+		if err != nil {
+			t.Fatalf("%d messages within capacity %d errored: %v", capacity, capacity, err)
+		}
+		if okStats.MaxEdgeLoad != capacity {
+			t.Fatalf("MaxEdgeLoad = %d, want %d", okStats.MaxEdgeLoad, capacity)
+		}
+		if _, err := RunProcs(two, func(int) Proc { return &burstProc{count: capacity + 1} }, Options{
+			Capacity: capacity,
+		}); !errors.Is(err, ErrCongestion) {
+			t.Fatalf("%d messages over capacity %d: err = %v, want ErrCongestion", capacity+1, capacity, err)
 		}
 	}
 }

@@ -41,11 +41,6 @@ type Options struct {
 	// the paper). Lowering it speeds up experiments at the cost of a
 	// larger failure probability.
 	Sets int
-	// SkeletonWorkers fans each skeleton build's per-source distance
-	// computations across a worker pool (0 uses
-	// dist.DefaultSkeletonWorkers; 0/1 is sequential). Results are
-	// byte-identical for every value.
-	SkeletonWorkers int
 }
 
 // Result reports one algorithm run with its full round ledger.
@@ -251,8 +246,7 @@ func setKey(s []int) string {
 }
 
 func (e *evaluator) skeleton(s []int) *dist.Skeleton {
-	return dist.BuildSkeletonWith(e.g, s, e.params.L, e.params.K, e.params.Eps,
-		dist.BuildSkeletonOpts{Workers: e.opts.SkeletonWorkers})
+	return dist.BuildSkeleton(e.g, s, e.params.L, e.params.K, e.params.Eps)
 }
 
 // outerValue runs the inner quantum search over S_i and returns f(i) in

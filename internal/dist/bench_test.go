@@ -33,7 +33,7 @@ func BenchmarkBuildSkeletonApproxShape(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dist.BuildSkeletonWith(g, ss[i%sets], p.L, p.K, p.Eps, dist.BuildSkeletonOpts{}).Release()
+				dist.BuildSkeleton(g, ss[i%sets], p.L, p.K, p.Eps).Release()
 			}
 		})
 	}

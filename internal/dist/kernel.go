@@ -1,39 +1,19 @@
 // The multi-source rounded-distance kernel behind BuildSkeleton: a
-// pooled build arena (graph.DistWorkspace + flat scratch), the shared
+// pooled build arena (graph.DistWorkspace + flat scratch) and the shared
 // per-arc numerator overlay that turns the per-scale weight rounding
-// ⌈w·2Tℓ/2^i⌉ into an add-and-shift, and the worker pool that fans the
-// per-source computations out with a deterministic source-order merge.
+// ⌈w·2Tℓ/2^i⌉ into an add-and-shift.
 //
-// Determinism contract (mirrors congest.Options.Workers): every row j
-// of the skeleton is a pure function of (G, Sources[j], ℓ, ε), computed
-// into its own pre-assigned slot rows[j·n : (j+1)·n], so the assembled
-// numerators are byte-identical for every worker count.
+// Determinism contract: every row j of the skeleton is a pure function
+// of (G, Sources[j], ℓ, ε), computed into its own pre-assigned slot
+// rows[j·n : (j+1)·n].
 
 package dist
 
 import (
 	"sync"
 
-	"qcongest/internal/congest"
 	"qcongest/internal/graph"
 )
-
-// DefaultSkeletonWorkers is the worker count used when
-// BuildSkeletonOpts.Workers is 0. Like congest.DefaultWorkers it exists
-// for process-wide front-ends (cmd/sweep's and cmd/table1's
-// -distworkers flag, the determinism suite) that cannot thread a knob
-// through every caller: set it once, before builds start — the read is
-// unsynchronized. 0 or 1 builds sequentially.
-var DefaultSkeletonWorkers int
-
-// BuildSkeletonOpts configures BuildSkeletonWith.
-type BuildSkeletonOpts struct {
-	// Workers fans the per-source rounded-distance computations across
-	// this many goroutines. 0 uses DefaultSkeletonWorkers; 0 or 1 is
-	// sequential. The skeleton's numerators are byte-identical for
-	// every value.
-	Workers int
-}
 
 // skelBuffers is the pooled build arena of one skeleton: the distance
 // workspace (CSR adjacency + frontier scratch), the shared per-arc
@@ -50,7 +30,7 @@ type skelBuffers struct {
 	ecc     []int64 // memoized ẽ numerators, -1 if unset
 	overlay []int64 // flat b×b overlay distances
 
-	scale []int64 // per-scale bounded-hop scratch (sequential + query path)
+	scale []int64 // per-scale bounded-hop scratch (build + query path)
 	entry []int64 // ApproxEccentricity's per-skeleton-node entry costs
 	full  []int64 // overlay build: flat b×b complete distances
 	keep  []bool  // overlay build: flat b×b sparsification mask
@@ -116,36 +96,13 @@ func dedupSources(s []int, srcIdx []int32) []int {
 }
 
 // buildRows computes the rounded ℓ-hop numerator row of every skeleton
-// source into its slot of the flat rows array, fanning across a worker
-// pool when workers > 1. Worker clones share the read-only CSR and the
-// wden overlay; each row slot is written by exactly one worker.
-func (sk *Skeleton) buildRows(workers int) {
-	b := len(sk.Sources)
+// source, in source order, into its slot of the flat rows array.
+func (sk *Skeleton) buildRows() {
 	n := sk.bufs.ws.N()
-	sk.bufs.rows = growInt64(sk.bufs.rows, b*n)
-	rows := sk.bufs.rows
-	if workers > b {
-		workers = b
+	sk.bufs.rows = growInt64(sk.bufs.rows, len(sk.Sources)*n)
+	for j, v := range sk.Sources {
+		sk.roundedRowInto(sk.bufs.rows[j*n:(j+1)*n], v)
 	}
-	if workers <= 1 {
-		for j, v := range sk.Sources {
-			sk.bufs.scale = sk.roundedRowInto(sk.bufs.ws, sk.bufs.scale, rows[j*n:(j+1)*n], v)
-		}
-		return
-	}
-	type rowWorker struct {
-		ws    *graph.DistWorkspace
-		scale []int64
-	}
-	idle := make(chan *rowWorker, workers)
-	for w := 0; w < workers; w++ {
-		idle <- &rowWorker{ws: sk.bufs.ws.Clone()}
-	}
-	congest.ForEach(b, workers, func(j int) {
-		w := <-idle
-		w.scale = sk.roundedRowInto(w.ws, w.scale, rows[j*n:(j+1)*n], sk.Sources[j])
-		idle <- w
-	})
 }
 
 // roundedRowInto computes the numerators of the (1+ε)-approximate
@@ -157,7 +114,8 @@ func (sk *Skeleton) buildRows(workers int) {
 // at most ℓ hops, the scale with 2^(i-1) < d <= 2^i yields a value of
 // at most (1+ε)·d. Scale-i values above (1+2T)ℓ belong to larger
 // scales and are pruned inside the kernel, which drains small-scale
-// frontiers after a few hops. Returns the (possibly grown) scratch.
+// frontiers after a few hops. The sweeps run on the arena's workspace
+// and per-scale scratch.
 //
 // The scale loop stops as soon as every entry of the row is finite,
 // and the result is the same as running all i_max+1 scales. For one
@@ -172,14 +130,15 @@ func (sk *Skeleton) buildRows(workers int) {
 // beyond ℓ hops never settle, and then every scale runs. The charged
 // Algorithm 1 schedule (internal/core/cost.go) and the executable
 // RunAlg1 still count all i_max+1 scales.
-func (sk *Skeleton) roundedRowInto(ws *graph.DistWorkspace, scratch, row []int64, src int) []int64 {
+func (sk *Skeleton) roundedRowInto(row []int64, src int) {
+	b := sk.bufs
 	for v := range row {
 		row[v] = graph.Inf
 	}
 	settled := 0
 	for i := 0; i <= sk.imax && settled < len(row); i++ {
-		scratch = ws.BoundedHopInto(scratch, src, sk.L, sk.bufs.wden, uint(i), sk.cap64)
-		for v, bh := range scratch {
+		b.scale = b.ws.BoundedHopInto(b.scale, src, sk.L, b.wden, uint(i), sk.cap64)
+		for v, bh := range b.scale {
 			if bh == graph.Inf {
 				continue
 			}
@@ -191,7 +150,6 @@ func (sk *Skeleton) roundedRowInto(ws *graph.DistWorkspace, scratch, row []int64
 			}
 		}
 	}
-	return scratch
 }
 
 func growInt64(s []int64, n int) []int64 {

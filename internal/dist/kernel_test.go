@@ -3,7 +3,6 @@ package dist
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"qcongest/internal/graph"
@@ -114,7 +113,7 @@ func TestGoldenKernelEquivalence(t *testing.T) {
 				for src := 0; src < g.N(); src += 1 + g.N()/5 {
 					want := refRoundedBoundedHopDist(g, src, l, eps)
 					got := make([]int64, g.N())
-					sk.bufs.scale = sk.roundedRowInto(sk.bufs.ws, sk.bufs.scale, got, src)
+					sk.roundedRowInto(got, src)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("graph %d, eps T=%d, l=%d, src=%d: kernel diverged from reference",
 							gi, eps.T, l, src)
@@ -128,9 +127,9 @@ func TestGoldenKernelEquivalence(t *testing.T) {
 
 // TestGoldenSkeletonRows pins the full BuildSkeleton surface over the
 // workload family and the adversarial shapes: every source row equals
-// the reference computation, and every approximate eccentricity is
-// reproduced after a rebuild (the overlay assembly is a deterministic
-// function of the rows).
+// the reference computation, and the overlay and every approximate
+// eccentricity are reproduced by a rebuild on the recycled arena (the
+// overlay assembly is a deterministic function of the rows).
 func TestGoldenSkeletonRows(t *testing.T) {
 	for gi, g := range append(goldenGraphs(), adversarialDistGraphs()...) {
 		eps := EpsForN(g.N())
@@ -148,48 +147,25 @@ func TestGoldenSkeletonRows(t *testing.T) {
 				t.Fatalf("graph %d: row of source %d diverged from reference", gi, v)
 			}
 		}
+		overlay, eccs := snapshot(sk)
+		sk.Release()
+		re := BuildSkeleton(g, s, l, k, eps)
+		if o, e := snapshot(re); !reflect.DeepEqual(o, overlay) || !reflect.DeepEqual(e, eccs) {
+			t.Fatalf("graph %d: rebuild on a recycled arena diverged", gi)
+		}
+		re.Release()
 	}
 }
 
-func workerCounts() []int {
-	return []int{1, 4, runtime.GOMAXPROCS(0)}
-}
-
-// TestSkeletonWorkerDeterminism: numerators (rows, overlay, and every
-// derived eccentricity) are byte-identical across worker counts, over
-// the workload family and the adversarial shapes.
-func TestSkeletonWorkerDeterminism(t *testing.T) {
-	for gi, g := range append(goldenGraphs(), adversarialDistGraphs()...) {
-		eps := EpsForN(g.N())
-		var s []int
-		for v := 0; v < g.N(); v += 2 {
-			s = append(s, v)
-		}
-		capture := func(workers int) ([]int64, []int64, []int64) {
-			sk := BuildSkeletonWith(g, s, 10, 2, eps, BuildSkeletonOpts{Workers: workers})
-			rows := append([]int64(nil), sk.bufs.rows...)
-			overlay := append([]int64(nil), sk.bufs.overlay...)
-			eccs := make([]int64, g.N())
-			for v := 0; v < g.N(); v++ {
-				eccs[v] = sk.ApproxEccentricity(v)
-			}
-			sk.Release()
-			return rows, overlay, eccs
-		}
-		refRows, refOverlay, refEccs := capture(1)
-		for _, workers := range workerCounts()[1:] {
-			rows, overlay, eccs := capture(workers)
-			if !reflect.DeepEqual(rows, refRows) {
-				t.Fatalf("graph %d, workers=%d: rows diverged", gi, workers)
-			}
-			if !reflect.DeepEqual(overlay, refOverlay) {
-				t.Fatalf("graph %d, workers=%d: overlay diverged", gi, workers)
-			}
-			if !reflect.DeepEqual(eccs, refEccs) {
-				t.Fatalf("graph %d, workers=%d: eccentricities diverged", gi, workers)
-			}
-		}
+// snapshot copies a skeleton's overlay and its eccentricity numerators
+// over every vertex.
+func snapshot(sk *Skeleton) (overlay, eccs []int64) {
+	overlay = append([]int64(nil), sk.bufs.overlay...)
+	eccs = make([]int64, sk.G.N())
+	for v := range eccs {
+		eccs[v] = sk.ApproxEccentricity(v)
 	}
+	return overlay, eccs
 }
 
 // TestSkeletonDeduplicatesSources is the duplicate-source regression
@@ -235,7 +211,7 @@ func TestSkeletonReleaseReuse(t *testing.T) {
 	skBig.Release()
 
 	reused := BuildSkeleton(small, []int{0, 3, 5}, 6, 2, eps)
-	skFresh := BuildSkeletonWith(small, []int{0, 3, 5}, 6, 2, eps, BuildSkeletonOpts{})
+	skFresh := BuildSkeleton(small, []int{0, 3, 5}, 6, 2, eps)
 	for v := 0; v < small.N(); v++ {
 		if a, b := reused.ApproxEccentricity(v), skFresh.ApproxEccentricity(v); a != b {
 			t.Fatalf("recycled arena: ẽ(%d) = %d, fresh build says %d", v, a, b)
@@ -345,7 +321,7 @@ func FuzzRoundedHopDist(f *testing.F) {
 
 		sk := rowSkeleton(g, l, eps)
 		got := make([]int64, n)
-		sk.bufs.scale = sk.roundedRowInto(sk.bufs.ws, sk.bufs.scale, got, src)
+		sk.roundedRowInto(got, src)
 		sk.Release()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("kernel diverged from ℓ-hop reference (n=%d m=%d l=%d T=%d src=%d)\n got %v\nwant %v",
@@ -404,7 +380,7 @@ func TestRoundedRowEarlyExitProperty(t *testing.T) {
 				sk := rowSkeleton(g, l, eps)
 				src := rng.Intn(n)
 				got := make([]int64, n)
-				sk.bufs.scale = sk.roundedRowInto(sk.bufs.ws, sk.bufs.scale, got, src)
+				sk.roundedRowInto(got, src)
 				if want := refRoundedBoundedHopDist(g, src, l, eps); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d (n=%d W=%d T=%d l=%d src=%d): early-exit row diverged\n got %v\nwant %v",
 						trial, n, maxw, eps.T, l, src, got, want)

@@ -57,24 +57,16 @@ type Skeleton struct {
 }
 
 // BuildSkeleton computes the Lemma 3.2 skeleton of the set s in g with
-// hop budget l, sparsification parameter k, and rounding parameter eps,
-// with the default worker setting (see BuildSkeletonWith).
-func BuildSkeleton(g *graph.Graph, s []int, l, k int, eps Eps) *Skeleton {
-	return BuildSkeletonWith(g, s, l, k, eps, BuildSkeletonOpts{})
-}
-
-// BuildSkeletonWith is BuildSkeleton with explicit build options.
+// hop budget l, sparsification parameter k, and rounding parameter eps.
 // Degenerate parameters are clamped to 1 so every input is runnable.
 //
 // For each skeleton node the (1+ε)-rounded ℓ-hop distances to all of V
 // are computed (the numerators internal/core's memory note refers to:
 // O(|S_i|·n) of them), then the overlay is assembled and sparsified to
 // the k shortest edges per node, and overlay distances between skeleton
-// nodes are taken with the Algorithm 5 hop bound ⌈4b/k⌉. The per-source
-// computations fan across opts.Workers goroutines with a deterministic
-// source-order merge: numerators are byte-identical for every worker
-// count.
-func BuildSkeletonWith(g *graph.Graph, s []int, l, k int, eps Eps, opts BuildSkeletonOpts) *Skeleton {
+// nodes are taken with the Algorithm 5 hop bound ⌈4b/k⌉. The build runs
+// on the calling goroutine; independent builds parallelize one level up.
+func BuildSkeleton(g *graph.Graph, s []int, l, k int, eps Eps) *Skeleton {
 	if l < 1 {
 		l = 1
 	}
@@ -83,10 +75,6 @@ func BuildSkeletonWith(g *graph.Graph, s []int, l, k int, eps Eps, opts BuildSke
 	}
 	if eps.T < 1 {
 		eps.T = 1
-	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = DefaultSkeletonWorkers
 	}
 	bufs := getSkelBuffers(g)
 	n := g.N()
@@ -105,8 +93,8 @@ func BuildSkeletonWith(g *graph.Graph, s []int, l, k int, eps Eps, opts BuildSke
 	}
 	sk.imax = IMax(n, w, eps)
 
-	// Per-arc numerators w·2Tℓ, shared read-only by every worker: scale
-	// i's rounded weight ⌈w·2Tℓ/2^i⌉ becomes an add-and-shift.
+	// Per-arc numerators w·2Tℓ, shared read-only by every source row:
+	// scale i's rounded weight ⌈w·2Tℓ/2^i⌉ becomes an add-and-shift.
 	bufs.wden = bufs.ws.ArcWeights(bufs.wden)
 	for a := range bufs.wden {
 		bufs.wden[a] *= sk.DenOut
@@ -121,12 +109,23 @@ func BuildSkeletonWith(g *graph.Graph, s []int, l, k int, eps Eps, opts BuildSke
 		bufs.rowOf[v] = -1
 		bufs.ecc[v] = -1
 	}
-	sk.buildRows(workers)
+	sk.buildRows()
 	for j, v := range sk.Sources {
 		bufs.rowOf[v] = int32(j)
 	}
 	sk.buildOverlay()
 	return sk
+}
+
+// BuildSkeletonOpts is empty. It survives only so that
+// BuildSkeletonWith keeps compiling for the benchmark module's callers.
+type BuildSkeletonOpts struct{}
+
+// BuildSkeletonWith forwards to BuildSkeleton. Its only reason to exist
+// is the benchmark module, which still calls it with an empty
+// BuildSkeletonOpts.
+func BuildSkeletonWith(g *graph.Graph, s []int, l, k int, eps Eps, _ BuildSkeletonOpts) *Skeleton {
+	return BuildSkeleton(g, s, l, k, eps)
 }
 
 // buildOverlay assembles the Algorithm 4 overlay: complete rounded
@@ -240,7 +239,7 @@ func (sk *Skeleton) row(v int) []int64 {
 	} else {
 		bufs.rows = bufs.rows[:(j+1)*n]
 	}
-	bufs.scale = sk.roundedRowInto(bufs.ws, bufs.scale, bufs.rows[j*n:(j+1)*n], v)
+	sk.roundedRowInto(bufs.rows[j*n:(j+1)*n], v)
 	bufs.rowOf[v] = int32(j)
 	return bufs.rows[j*n : (j+1)*n]
 }

@@ -64,9 +64,9 @@ type SpineLeafPoint struct {
 // Theorem 1.1 quantum algorithm against the classical exact APSP
 // baseline. The constant unweighted diameter (≤ 4) of the family makes
 // it the extreme low-D regime of the theorem. Classical runs go through
-// congest.RunBatch with `parallelism` simulations in flight and `workers`
-// engine shards each; quantum points run concurrently per configuration.
-func SpineLeafSweep(cfgs []SpineLeafConfig, maxW int64, seed int64, workers, parallelism int) ([]SpineLeafPoint, error) {
+// congest.RunBatch with `parallelism` simulations in flight; quantum
+// points run concurrently per configuration.
+func SpineLeafSweep(cfgs []SpineLeafConfig, maxW int64, seed int64, parallelism int) ([]SpineLeafPoint, error) {
 	if maxW < 1 {
 		maxW = 1
 	}
@@ -80,7 +80,7 @@ func SpineLeafSweep(cfgs []SpineLeafConfig, maxW int64, seed int64, workers, par
 		gs[i] = graph.RandomWeights(graph.SpineLeaf(cfg.Spines, cfg.Leaves, cfg.Hosts, 1, 1), maxW, rng)
 		pts[i] = SpineLeafPoint{SpineLeafConfig: cfg, N: gs[i].N()}
 	}
-	_, _, stats, err := baseline.ClassicalDiameterBatch(gs, congest.Options{Workers: workers}, parallelism)
+	_, _, stats, err := baseline.ClassicalDiameterBatch(gs, parallelism)
 	if err != nil {
 		return nil, err
 	}

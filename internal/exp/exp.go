@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"qcongest/internal/baseline"
-	"qcongest/internal/congest"
 	"qcongest/internal/core"
 	"qcongest/internal/graph"
 )
@@ -173,7 +172,7 @@ func Crossover(n int, ds []int, seed int64) ([]CrossPoint, error) {
 		rng := rand.New(rand.NewSource(seed + int64(d)*7))
 		gs[i] = workload(n, d, 16, rng)
 	}
-	_, _, stats, err := baseline.ClassicalDiameterBatch(gs, congest.Options{}, 0)
+	_, _, stats, err := baseline.ClassicalDiameterBatch(gs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +283,7 @@ func MeasuredTable1(n int, seed int64) ([]Table1Entry, error) {
 	nf, df := float64(n), float64(d)
 	unweighted := g.Unweighted()
 
-	_, _, stats, err := baseline.ClassicalDiameterBatch([]*graph.Graph{unweighted, g}, congest.Options{}, 0)
+	_, _, stats, err := baseline.ClassicalDiameterBatch([]*graph.Graph{unweighted, g}, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -26,14 +26,11 @@ package graph
 //   - unbounded single-source distances: the binary-heap Dijkstra.
 
 // DistWorkspace is a scratch arena for repeated distance computations
-// on one graph: a flat CSR adjacency (built once, shared by clones),
-// distance/frontier arrays, the BFS frontier bitsets, and a Dijkstra
-// heap, all reused across calls. A workspace is NOT safe for concurrent
-// use; worker pools give each worker its own Clone (clones share the
-// read-only CSR and own their scratch).
+// on one graph: a flat CSR adjacency (built once), distance/frontier
+// arrays, the BFS frontier bitsets, and a Dijkstra heap, all reused
+// across calls. A workspace is NOT safe for concurrent use.
 type DistWorkspace struct {
-	adj       *csrAdj
-	sharedAdj bool // set on clones: Reset must detach, never mutate the shared CSR
+	adj *csrAdj
 
 	hops  []int64 // hop-count scratch for DijkstraInto
 	fval  []int64 // frontier value snapshot (start-of-hop distances)
@@ -53,8 +50,7 @@ type DistWorkspace struct {
 	bfsPulls []bool
 }
 
-// csrAdj is the flat adjacency shared by a workspace and its clones:
-// node u's directed arcs occupy to[head[u]:head[u+1]] with weights
+// csrAdj is a workspace's flat adjacency: node u's directed arcs occupy to[head[u]:head[u+1]] with weights
 // w[head[u]:head[u+1]], in the order AddEdge produced them. maxW is the
 // hoisted maximum edge weight (computed once, not per query).
 type csrAdj struct {
@@ -78,17 +74,12 @@ func NewDistWorkspace(g *Graph) *DistWorkspace {
 // place with the existing array capacity. It exists for pooled reuse
 // (internal/dist recycles skeleton build arenas through a sync.Pool):
 // a recycled workspace serves a different graph without re-allocating
-// its arrays. On a Clone, Reset detaches onto a fresh CSR instead —
-// the shared adjacency may still be in use by the parent or sibling
-// clones and is never mutated through a clone. Resetting the original
-// workspace while its clones are in use remains the caller's bug
-// (clones would observe the new adjacency).
+// its arrays.
 func (ws *DistWorkspace) Reset(g *Graph) {
 	adj := ws.adj
-	if adj == nil || ws.sharedAdj {
+	if adj == nil {
 		adj = &csrAdj{}
 		ws.adj = adj
-		ws.sharedAdj = false
 	}
 	n := g.N()
 	total := 0
@@ -120,12 +111,6 @@ func (ws *DistWorkspace) Reset(g *Graph) {
 		}
 		adj.head[u+1] = int32(len(adj.to))
 	}
-}
-
-// Clone returns a workspace sharing this one's read-only CSR adjacency
-// with private scratch, for use on another goroutine.
-func (ws *DistWorkspace) Clone() *DistWorkspace {
-	return &DistWorkspace{adj: ws.adj, sharedAdj: true}
 }
 
 // N returns the node count of the underlying graph.

@@ -3,8 +3,6 @@ package graph
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
-	"sync"
 	"testing"
 )
 
@@ -55,6 +53,10 @@ func TestWorkspaceBoundedHopMatchesReference(t *testing.T) {
 func TestWorkspaceDijkstraMatchesReference(t *testing.T) {
 	for gi, g := range kernelCases() {
 		ws := NewDistWorkspace(g)
+		if ws.ArcCount() != 2*g.M() || ws.MaxWeight() != g.MaxWeight() {
+			t.Fatalf("graph %d: ArcCount %d, MaxWeight %d; want 2m = %d and %d",
+				gi, ws.ArcCount(), ws.MaxWeight(), 2*g.M(), g.MaxWeight())
+		}
 		var d, h []int64
 		for src := 0; src < g.N(); src++ {
 			wantD, wantH := g.DijkstraHops(src)
@@ -125,27 +127,6 @@ func TestWorkspaceCapPruning(t *testing.T) {
 				t.Fatalf("cap %d: node %d got %d, reference reaches %d within cap", cap64, v, dv, full[v])
 			}
 		}
-	}
-}
-
-func TestWorkspaceCloneSharesAdjacency(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := RandomWeights(RandomConnected(25, 60, rng), 8, rng)
-	ws := NewDistWorkspace(g)
-	cl := ws.Clone()
-	if cl.adj != ws.adj {
-		t.Fatal("clone rebuilt the CSR instead of sharing it")
-	}
-	a := ws.DijkstraInto(nil, 3)
-	b := cl.DijkstraInto(nil, 3)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("clone computes different distances")
-	}
-	if ws.ArcCount() != 2*g.M() {
-		t.Fatalf("ArcCount %d != 2m = %d", ws.ArcCount(), 2*g.M())
-	}
-	if ws.MaxWeight() != g.MaxWeight() {
-		t.Fatalf("hoisted MaxWeight %d != %d", ws.MaxWeight(), g.MaxWeight())
 	}
 }
 
@@ -375,84 +356,6 @@ func TestAutoModeTraceMatchesHeuristic(t *testing.T) {
 					unexplored -= arcs[lv+1]
 				}
 			}
-		}
-	}
-}
-
-// TestCloneResetCannotCorruptSharedCSR is the Clone/Reset regression
-// test: Reset on a clone must detach onto a fresh CSR — the shared
-// adjacency may still be serving the parent and sibling clones — and
-// both workspaces must keep answering correctly afterwards.
-func TestCloneResetCannotCorruptSharedCSR(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	g1 := RandomWeights(RandomConnected(30, 80, rng), 9, rng)
-	g2 := RandomWeights(Star(12), 5, rng)
-
-	ws := NewDistWorkspace(g1)
-	want1 := append([]int64(nil), ws.DijkstraInto(nil, 0)...)
-
-	cl := ws.Clone()
-	cl.Reset(g2)
-	if cl.adj == ws.adj {
-		t.Fatal("Reset on a clone mutated the shared CSR in place")
-	}
-	want2 := g2.Dijkstra(0)
-	if got := cl.DijkstraInto(nil, 0); !reflect.DeepEqual(got, want2) {
-		t.Fatal("reset clone answers wrong distances for its new graph")
-	}
-	if got := ws.DijkstraInto(nil, 0); !reflect.DeepEqual(got, want1) {
-		t.Fatal("parent workspace corrupted by a clone's Reset")
-	}
-	// A detached clone is a full owner: a second Reset may rebuild in
-	// place again, and further Clones chain off the new CSR.
-	cl.Reset(g1)
-	if got := cl.DijkstraInto(nil, 0); !reflect.DeepEqual(got, want1) {
-		t.Fatal("re-reset clone answers wrong distances")
-	}
-}
-
-// TestClonesRaceCleanly runs several clones concurrently on overlapping
-// sources and checks each result against a sequential pass. Run under
-// -race in CI: the clones must share only the read-only CSR.
-func TestClonesRaceCleanly(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	g := RandomWeights(SpineLeaf(3, 6, 5, 2, 1), 9, rng)
-	n := g.N()
-	ws := NewDistWorkspace(g)
-	l := n / 2
-
-	want := make([][]int64, n)
-	ref := ws.Clone()
-	for src := 0; src < n; src++ {
-		want[src] = append([]int64(nil), ref.BoundedHopDistInto(nil, src, l)...)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	var wg sync.WaitGroup
-	errs := make([]string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := ws.Clone()
-			var buf []int64
-			// Overlapping stride: every worker touches every source.
-			for src := 0; src < n; src++ {
-				s := (src + w*3) % n
-				buf = cl.BoundedHopDistInto(buf, s, l)
-				if !reflect.DeepEqual(buf, want[s]) {
-					errs[w] = "clone diverged from sequential pass"
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, e := range errs {
-		if e != "" {
-			t.Fatalf("worker %d: %s", w, e)
 		}
 	}
 }

@@ -1,12 +1,11 @@
 package graph
 
 // Component benchmarks for the ingest path: the two wire decoders and
-// the digest, each over the same million-edge graph BENCH_ingest.json's
-// end-to-end runs use. -order in cmd/qload switches between the two
-// layouts priced here: sorted insertion order is the canonical
-// bulk-export layout (FormatBinary omits its permutation section and the
-// decoder streams edges in insertion order), random order pays the
-// permuted decode.
+// the digest, each over one million-edge graph. -order in cmd/qload
+// switches between the two layouts priced here: sorted insertion order
+// is the canonical bulk-export layout (FormatBinary omits its
+// permutation section and the decoder streams edges in insertion
+// order), random order pays the permuted decode.
 
 import (
 	"math/rand"

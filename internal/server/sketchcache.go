@@ -25,7 +25,6 @@ import (
 // recycled — waiters may still hold them.
 type SketchCache struct {
 	capacity int
-	workers  int
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -43,15 +42,13 @@ type cacheEntry struct {
 }
 
 // NewSketchCache returns a cache holding at most capacity skeletons
-// (minimum 1), building misses with the given skeleton worker count
-// (0 uses dist.DefaultSkeletonWorkers).
-func NewSketchCache(capacity, workers int) *SketchCache {
+// (minimum 1).
+func NewSketchCache(capacity int) *SketchCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &SketchCache{
 		capacity: capacity,
-		workers:  workers,
 		entries:  make(map[string]*cacheEntry, capacity+1),
 		lru:      list.New(),
 	}
@@ -135,7 +132,7 @@ func (c *SketchCache) Skeleton(g *graph.Graph, s []int, l, k int, eps dist.Eps) 
 			close(e.ready)
 		}
 	}()
-	sk := dist.BuildSkeletonWith(g, s, l, k, eps, dist.BuildSkeletonOpts{Workers: c.workers})
+	sk := dist.BuildSkeleton(g, s, l, k, eps)
 	c.mu.Lock()
 	e.sk = sk
 	e.done = true

@@ -19,7 +19,7 @@ func cacheWorkload(t testing.TB) (*graph.Graph, []int, dist.Eps) {
 
 func TestSketchCacheHitsAndKeying(t *testing.T) {
 	g, s, eps := cacheWorkload(t)
-	c := NewSketchCache(4, 1)
+	c := NewSketchCache(4)
 
 	sk1 := c.Skeleton(g, s, 12, 2, eps)
 	sk2 := c.Skeleton(g, s, 12, 2, eps)
@@ -52,7 +52,7 @@ func TestSketchCacheHitsAndKeying(t *testing.T) {
 
 func TestSketchCacheEviction(t *testing.T) {
 	g, s, eps := cacheWorkload(t)
-	c := NewSketchCache(2, 1)
+	c := NewSketchCache(2)
 	a := c.Skeleton(g, s, 4, 2, eps)
 	_ = c.Skeleton(g, s, 5, 2, eps)
 	_ = c.Skeleton(g, s, 6, 2, eps) // evicts the (l=4) entry
@@ -81,7 +81,7 @@ func TestSketchCacheEviction(t *testing.T) {
 // CI, which also exercises the shared skeleton's query-path mutex.
 func TestSketchCacheSingleFlight(t *testing.T) {
 	g, s, eps := cacheWorkload(t)
-	c := NewSketchCache(4, 1)
+	c := NewSketchCache(4)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -113,7 +113,7 @@ func TestSketchCacheSingleFlight(t *testing.T) {
 
 func TestSketchCacheEccentricityEndpoint(t *testing.T) {
 	g, s, eps := cacheWorkload(t)
-	c := NewSketchCache(2, 1)
+	c := NewSketchCache(2)
 	ref := dist.BuildSkeleton(g, s, 12, 2, eps)
 	for v := 0; v < g.N(); v += 5 {
 		num, den := c.ApproxEccentricity(g, s, 12, 2, eps, v)
@@ -129,7 +129,7 @@ func TestSketchCacheEccentricityEndpoint(t *testing.T) {
 // build.
 func TestServerCachedAllocGuard(t *testing.T) {
 	g, s, eps := cacheWorkload(t)
-	c := NewSketchCache(2, 1)
+	c := NewSketchCache(2)
 	c.Skeleton(g, s, 12, 2, eps) // warm
 	allocs := testing.AllocsPerRun(50, func() {
 		c.Skeleton(g, s, 12, 2, eps)
@@ -143,7 +143,7 @@ func TestServerCachedAllocGuard(t *testing.T) {
 
 func BenchmarkServerCachedSkeleton(b *testing.B) {
 	g, s, eps := cacheWorkload(b)
-	c := NewSketchCache(4, 1)
+	c := NewSketchCache(4)
 	c.Skeleton(g, s, 12, 2, eps)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -154,7 +154,7 @@ func BenchmarkServerCachedSkeleton(b *testing.B) {
 
 func BenchmarkServerCachedEccentricity(b *testing.B) {
 	g, s, eps := cacheWorkload(b)
-	c := NewSketchCache(4, 1)
+	c := NewSketchCache(4)
 	c.ApproxEccentricity(g, s, 12, 2, eps, 0) // warm build + memo
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -163,9 +163,9 @@ func BenchmarkServerCachedEccentricity(b *testing.B) {
 	}
 }
 
-// BenchmarkServerUncachedSkeleton is the contrast row for
-// BENCH_dist.json: every iteration misses (the graph digest changes),
-// measuring the full build through the serving path.
+// BenchmarkServerUncachedSkeleton is the contrast row to the cached
+// read: every iteration misses (the graph digest changes), measuring the
+// full build through the serving path.
 func BenchmarkServerUncachedSkeleton(b *testing.B) {
 	rng := rand.New(rand.NewSource(67))
 	g := graph.RandomWeights(graph.RandomConnected(40, 110, rng), 9, rng)
@@ -174,7 +174,7 @@ func BenchmarkServerUncachedSkeleton(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewSketchCache(1, 1)
+		c := NewSketchCache(1)
 		c.Skeleton(g, s, 12, 2, eps)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"qcongest/internal/baseline"
-	"qcongest/internal/congest"
 	"qcongest/internal/dist"
 	"qcongest/internal/graph"
 	"qcongest/internal/store"
@@ -703,7 +702,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.build.leave()
-	diams, radii, stats, err := baseline.ClassicalDiameterBatch(gs, congest.Options{Workers: req.Workers}, req.Parallelism)
+	diams, radii, stats, err := baseline.ClassicalDiameterBatch(gs, req.Parallelism)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "batch APSP failed: %v", err)
 		return

@@ -19,8 +19,7 @@
 // (the sketch LRU and the per-graph exact-metric memo) safe without
 // invalidation. Every numeric answer is computed by the same library
 // code a direct caller would run, so responses are byte-identical to
-// in-process results for any worker count (the determinism contract of
-// API.md).
+// in-process results (the determinism contract of API.md).
 //
 // Admission control is a pair of bounded gates: cold work (sketch
 // builds, batch sweeps, first-touch exact metrics, upload parsing and
@@ -57,10 +56,6 @@ import (
 type Config struct {
 	// CacheCapacity bounds the sketch LRU (default 64 skeletons).
 	CacheCapacity int
-	// SketchWorkers is the per-build worker fan-out handed to
-	// dist.BuildSkeletonWith (0 uses dist.DefaultSkeletonWorkers).
-	// Numerators are byte-identical for every value.
-	SketchWorkers int
 	// BuildSlots bounds concurrently executing cold work: sketch
 	// builds, batch sweeps, first-touch exact-metric computations, and
 	// upload parsing/generation (default 2).
@@ -244,7 +239,7 @@ func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     newRegistry(cfg.MaxGraphs),
-		cache:   server.NewSketchCache(cfg.CacheCapacity, cfg.SketchWorkers),
+		cache:   server.NewSketchCache(cfg.CacheCapacity),
 		metrics: newMetrics(),
 		build:   newGate(cfg.BuildSlots, cfg.BuildQueue),
 		query:   newGate(cfg.QuerySlots, cfg.QueryQueue),

@@ -1,6 +1,6 @@
 // End-to-end suite of the serving layer, run over real HTTP via
 // httptest: upload→query→sketch round trips are asserted byte-identical
-// to direct library calls for every worker count, the single-flight and
+// to direct library calls, the single-flight and
 // eviction behavior of the sketch cache is observed through its Stats
 // counters, and the admission gates and error surface are exercised.
 package svc_test
@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -44,71 +43,66 @@ func newService(t *testing.T, cfg svc.Config) (*svc.Server, *svc.Client) {
 
 // TestServiceParityWithLibrary is the determinism contract of API.md:
 // every number the daemon serves — exact metrics and sketch numerators —
-// is byte-identical to a direct library call on the same graph, for
-// every sketch worker count.
+// is byte-identical to a direct library call on the same graph.
 func TestServiceParityWithLibrary(t *testing.T) {
 	g := workload(t, 120)
 	sources := []int{3, 1, 4, 15, 9, 2, 6}
 	const l, k = 8, 3
 	eps := dist.EpsForN(g.N())
 
-	// Library ground truth, built sequentially.
+	// Library ground truth.
 	wantDiam, wantRad := g.Diameter(), g.Radius()
-	ref := dist.BuildSkeletonWith(g, sources, l, k, eps, dist.BuildSkeletonOpts{Workers: 1})
+	ref := dist.BuildSkeleton(g, sources, l, k, eps)
 	wantNum := make([]int64, g.N())
 	for v := 0; v < g.N(); v++ {
 		wantNum[v] = ref.ApproxEccentricity(v)
 	}
 
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			_, client := newService(t, svc.Config{SketchWorkers: workers})
-			up, err := client.Upload(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := fmt.Sprintf("%016x", g.Digest()); up.Digest != want {
-				t.Fatalf("digest %s != %s", up.Digest, want)
-			}
-			if d, err := client.Diameter(up.Digest); err != nil || d != wantDiam {
-				t.Fatalf("diameter (%d, %v) != %d", d, err, wantDiam)
-			}
-			if r, err := client.Radius(up.Digest); err != nil || r != wantRad {
-				t.Fatalf("radius (%d, %v) != %d", r, err, wantRad)
-			}
-			for _, v := range []int{0, 7, g.N() - 1} {
-				want := g.Eccentricity(v)
-				if e, err := client.Eccentricity(up.Digest, v); err != nil || e != want {
-					t.Fatalf("ecc(%d) = (%d, %v) != %d", v, e, err, want)
-				}
-			}
-			vertices := make([]int, g.N())
-			for v := range vertices {
-				vertices[v] = v
-			}
-			resp, err := client.Sketch(up.Digest, svc.SketchRequest{
-				Sources: sources, L: l, K: k, EpsT: eps.T, Vertices: vertices,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.Den != ref.DenOut || resp.EpsT != eps.T {
-				t.Fatalf("den/epsT (%d, %d) != (%d, %d)", resp.Den, resp.EpsT, ref.DenOut, eps.T)
-			}
-			if len(resp.Eccentricities) != g.N() {
-				t.Fatalf("got %d eccentricities, want %d", len(resp.Eccentricities), g.N())
-			}
-			for i, e := range resp.Eccentricities {
-				if e.V != i || e.Num != wantNum[i] {
-					t.Fatalf("workers=%d: ẽ(%d) = %d != library %d", workers, e.V, e.Num, wantNum[i])
-				}
-			}
-			// Defaulted epsT resolves to the same Eq. (1) choice.
-			resp2, err := client.Sketch(up.Digest, svc.SketchRequest{Sources: sources, L: l, K: k})
-			if err != nil || resp2.EpsT != eps.T {
-				t.Fatalf("default epsT: (%d, %v), want %d", resp2.EpsT, err, eps.T)
-			}
-		})
+	_, client := newService(t, svc.Config{})
+	up, err := client.Upload(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%016x", g.Digest()); up.Digest != want {
+		t.Fatalf("digest %s != %s", up.Digest, want)
+	}
+	if d, err := client.Diameter(up.Digest); err != nil || d != wantDiam {
+		t.Fatalf("diameter (%d, %v) != %d", d, err, wantDiam)
+	}
+	if r, err := client.Radius(up.Digest); err != nil || r != wantRad {
+		t.Fatalf("radius (%d, %v) != %d", r, err, wantRad)
+	}
+	for _, v := range []int{0, 7, g.N() - 1} {
+		want := g.Eccentricity(v)
+		if e, err := client.Eccentricity(up.Digest, v); err != nil || e != want {
+			t.Fatalf("ecc(%d) = (%d, %v) != %d", v, e, err, want)
+		}
+	}
+	vertices := make([]int, g.N())
+	for v := range vertices {
+		vertices[v] = v
+	}
+	resp, err := client.Sketch(up.Digest, svc.SketchRequest{
+		Sources: sources, L: l, K: k, EpsT: eps.T, Vertices: vertices,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Den != ref.DenOut || resp.EpsT != eps.T {
+		t.Fatalf("den/epsT (%d, %d) != (%d, %d)", resp.Den, resp.EpsT, ref.DenOut, eps.T)
+	}
+	if len(resp.Eccentricities) != g.N() {
+		t.Fatalf("got %d eccentricities, want %d", len(resp.Eccentricities), g.N())
+	}
+	for i, e := range resp.Eccentricities {
+		if e.V != i || e.Num != wantNum[i] {
+			t.Fatalf("ẽ(%d) = %d != library %d", e.V, e.Num, wantNum[i])
+		}
+	}
+	// Defaulted epsT resolves to the same Eq. (1) choice.
+	resp2, err := client.Sketch(up.Digest, svc.SketchRequest{Sources: sources, L: l, K: k})
+	if err != nil || resp2.EpsT != eps.T {
+		t.Fatalf("default epsT: (%d, %v), want %d", resp2.EpsT, err, eps.T)
 	}
 }
 
@@ -363,6 +357,8 @@ func TestServiceErrors(t *testing.T) {
 		{"unknown field", http.MethodPost, "/v1/graphs", `{"edgelost":"n 1"}`, http.StatusBadRequest},
 		{"sketch unknown field", http.MethodPost, "/v1/graphs/" + up.Digest + "/sketch",
 			`{"sources":[0],"l":4,"k":2,"kernel":"sparse"}`, http.StatusBadRequest},
+		{"batch workers field", http.MethodPost, "/v1/batch",
+			`{"digests":["` + up.Digest + `"],"workers":2}`, http.StatusBadRequest},
 		{"both sources", http.MethodPost, "/v1/graphs", `{"edgelist":"n 1","gen":{"kind":"path","n":2}}`, http.StatusBadRequest},
 		{"edgelist header bomb", http.MethodPost, "/v1/graphs", `{"edgelist":"n 99999999999"}`, http.StatusRequestEntityTooLarge},
 		{"neither source", http.MethodPost, "/v1/graphs", `{}`, http.StatusBadRequest},

@@ -277,8 +277,8 @@ type SketchEcc struct {
 }
 
 // SketchResponse answers POST /v1/graphs/{digest}/sketch. Same digest
-// and same parameters yield byte-identical numerators on every daemon,
-// for every worker count — the determinism contract of API.md.
+// and same parameters yield byte-identical numerators on every daemon —
+// the determinism contract of API.md.
 type SketchResponse struct {
 	// Digest names the graph answered for.
 	Digest string `json:"digest"`
@@ -298,10 +298,6 @@ type BatchRequest struct {
 	// must be within the daemon's batch node limit: one APSP job costs
 	// Θ(n²) memory while it runs.
 	Digests []string `json:"digests"`
-	// Workers shards each simulation's round loop (congest
-	// Options.Workers; 0 = sequential). Results are identical for
-	// every value.
-	Workers int `json:"workers,omitempty"`
 	// Parallelism bounds how many simulations run at once (0 =
 	// GOMAXPROCS).
 	Parallelism int `json:"parallelism,omitempty"`

@@ -122,11 +122,8 @@ type (
 var (
 	NewSketchCache = server.NewSketchCache
 	EpsForN        = dist.EpsForN
-	BuildSkeleton  = dist.BuildSkeletonWith
+	BuildSkeleton  = dist.BuildSkeleton
 )
-
-// SketchOpts configure a skeleton build (worker fan-out).
-type SketchOpts = dist.BuildSkeletonOpts
 
 // Serving layer (internal/svc): the qcongestd daemon's handler and the
 // typed client of its HTTP/JSON API. See API.md for the endpoint
