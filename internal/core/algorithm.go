@@ -215,16 +215,19 @@ func checkGoodScale(sets [][]int, r int) bool {
 
 // evaluator runs the inner quantum searches, memoizing the resulting
 // outer values by set identity (the outer search revisits indices).
-// Skeletons are rebuilt on demand rather than cached: each one holds
-// O(|S_i|·n) numerators, and the outer search touches Θ(n) sets. Each
-// skeleton is released back to the dist build-arena pool as soon as its
-// queries are done, so the rebuild churn reuses one set of buffers.
+// Every skeleton, the exactValue rebuild included, is assembled over
+// one row table: a row d̃^ℓ(s, ·) depends on (G, s, ℓ, ε) only, so a
+// source shared by several sets has it computed once per Approximate
+// call. The table fills lazily and holds at most n rows of n
+// numerators (8n² bytes); it is dropped when the call returns. Each
+// skeleton's per-set arena goes back to the dist pool once the set's
+// queries are done.
 type evaluator struct {
-	g      *graph.Graph
 	params Params
 	mode   Mode
 	opts   Options
 	rng    *rand.Rand
+	tab    *dist.RowTable
 
 	innerVal    map[string]int64 // fixed-point outer value
 	innerRounds int64
@@ -232,7 +235,8 @@ type evaluator struct {
 
 func newEvaluator(g *graph.Graph, params Params, mode Mode, opts Options, rng *rand.Rand) *evaluator {
 	return &evaluator{
-		g: g, params: params, mode: mode, opts: opts, rng: rng,
+		params: params, mode: mode, opts: opts, rng: rng,
+		tab:      dist.NewRowTable(g, params.L, params.Eps),
 		innerVal: make(map[string]int64),
 	}
 }
@@ -246,7 +250,7 @@ func setKey(s []int) string {
 }
 
 func (e *evaluator) skeleton(s []int) *dist.Skeleton {
-	return dist.BuildSkeleton(e.g, s, e.params.L, e.params.K, e.params.Eps)
+	return e.tab.Skeleton(s, e.params.K)
 }
 
 // outerValue runs the inner quantum search over S_i and returns f(i) in

@@ -80,16 +80,25 @@ func checkSandwich(t *testing.T, name string, g *graph.Graph, mode Mode, seed in
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	eps := res.Params.Eps.Float()
-	if upper := (1 + eps) * (1 + eps) * float64(exact); res.Estimate > upper+1e-9 {
-		t.Errorf("%s: estimate %.3f above (1+ε)²·%d = %.3f", name, res.Estimate, exact, upper)
-	}
-	if res.Estimate < float64(exact) {
-		t.Errorf("%s: estimate %.3f below the exact value %d", name, res.Estimate, exact)
+	if msg := sandwichViolation(res, exact); msg != "" {
+		t.Errorf("%s: %s", name, msg)
 	}
 	if res.Rounds <= 0 {
 		t.Errorf("%s: no rounds charged", name)
 	}
+}
+
+// sandwichViolation says how res.Estimate leaves Theorem 1.1's window
+// [1, (1+ε)²]·exact, or returns "" when it lies inside.
+func sandwichViolation(res *Result, exact int64) string {
+	eps := res.Params.Eps.Float()
+	if upper := (1 + eps) * (1 + eps) * float64(exact); res.Estimate > upper+1e-9 {
+		return fmt.Sprintf("estimate %.3f above (1+ε)²·%d = %.3f", res.Estimate, exact, upper)
+	}
+	if res.Estimate < float64(exact) {
+		return fmt.Sprintf("estimate %.3f below the exact value %d", res.Estimate, exact)
+	}
+	return ""
 }
 
 func TestApproximateDiameterSandwich(t *testing.T) {

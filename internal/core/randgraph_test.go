@@ -6,9 +6,12 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
+	"testing"
 
 	"qcongest/internal/graph"
+	"qcongest/internal/qsim"
 )
 
 // randomConnected returns a connected simple graph on n nodes: a random
@@ -60,4 +63,72 @@ func propertyGraphs(count int) []*graph.Graph {
 		gs[i] = randomConnected(rng, n, rng.IntN(2*n), 1+rng.Int64N(64), seed%2 == 0)
 	}
 	return gs
+}
+
+// TestApproximateViolationsBinomialBound runs Theorem 1.1 in both modes
+// on the first 400 propertyGraphs (seed i for graph i, the sandwich
+// tests' seeding; graph 176's diameter run is the one known violation)
+// and bounds the number of runs whose estimate leaves the window
+// [1, (1+ε)²]·exact.
+//
+// A run fails only through one of the theorem's failure events, and a
+// union bound over them at the parameters the run uses gives its
+// failure rate p = (1-r/n)^n + (n+1)/n²: no sampled set holds a fixed
+// extremal vertex (Lemma 3.4's sampling event), or one of the outer
+// search and the at most n inner searches misses at δ = 1/n² each.
+// Runs are independent, so the count is a sum of Bernoulli variables
+// with these rates. By Hoeffding (1956) its upper tail past the mean is
+// at most that of Binomial(runs, p̄), p̄ the mean rate, so the test
+// fails a correct implementation with probability at most α = 10⁻³:
+// it holds with 99.9% confidence. Seeds are fixed, so the outcome is
+// deterministic; a failure means the implementation fails more often
+// than the theorem allows.
+func TestApproximateViolationsBinomialBound(t *testing.T) {
+	const graphs, alpha = 400, 1e-3
+	runs, violations, rate := 0, 0, 0.0
+	for i, g := range propertyGraphs(graphs) {
+		for _, mode := range []Mode{DiameterMode, RadiusMode} {
+			exact := g.Diameter()
+			if mode == RadiusMode {
+				exact = g.Radius()
+			}
+			res, err := Approximate(g, mode, Options{Seed: int64(i + 1), Engine: qsim.Sampled})
+			if err != nil {
+				t.Fatalf("property graph %d %v: %v", i+1, mode, err)
+			}
+			if msg := sandwichViolation(res, exact); msg != "" {
+				violations++
+				t.Logf("property graph %d (n=%d) %v: %s", i+1, g.N(), mode, msg)
+			}
+			n, r := float64(g.N()), float64(res.Params.R)
+			rate += math.Pow(1-r/n, n) + (n+1)/(n*n)
+			runs++
+		}
+	}
+	p := rate / float64(runs)
+	bound := binomialUpperQuantile(runs, p, alpha)
+	t.Logf("%d violations in %d runs; mean failure rate %.4f, one-sided %.1f%% bound %d", violations, runs, p, 100*(1-alpha), bound)
+	if violations > bound {
+		t.Fatalf("%d violations in %d runs exceed the %.1f%% binomial bound %d at failure rate %.4f",
+			violations, runs, 100*(1-alpha), bound, p)
+	}
+}
+
+// binomialUpperQuantile returns the least k with P[Binomial(n, p) > k]
+// <= alpha.
+func binomialUpperQuantile(n int, p, alpha float64) int {
+	cdf := 0.0
+	for k := 0; k < n; k++ {
+		lg := lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1)
+		cdf += math.Exp(lg + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
+		if 1-cdf <= alpha {
+			return k
+		}
+	}
+	return n
+}
+
+func lgamma(x int) float64 {
+	v, _ := math.Lgamma(float64(x))
+	return v
 }

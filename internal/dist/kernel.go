@@ -1,11 +1,11 @@
-// The multi-source rounded-distance kernel behind BuildSkeleton: a
-// pooled build arena (graph.DistWorkspace + flat scratch) and the shared
-// per-arc numerator overlay that turns the per-scale weight rounding
-// ⌈w·2Tℓ/2^i⌉ into an add-and-shift.
+// The multi-source rounded-distance kernel behind every skeleton: a row
+// table that owns the distance workspace (graph.DistWorkspace + flat
+// scratch) and the shared per-arc numerator overlay that turns the
+// per-scale weight rounding ⌈w·2Tℓ/2^i⌉ into an add-and-shift.
 //
-// Determinism contract: every row j of the skeleton is a pure function
-// of (G, Sources[j], ℓ, ε), computed into its own pre-assigned slot
-// rows[j·n : (j+1)·n].
+// Determinism contract: every row is a pure function of (G, source, ℓ,
+// ε), not of the set S_i whose skeleton asks for it. That is what lets
+// one table serve every skeleton built over the same (G, ℓ, ε).
 
 package dist
 
@@ -15,22 +15,151 @@ import (
 	"qcongest/internal/graph"
 )
 
-// skelBuffers is the pooled build arena of one skeleton: the distance
-// workspace (CSR adjacency + frontier scratch), the shared per-arc
-// numerator overlay, and every flat array the skeleton owns. Recycled
-// through skelPool by (*Skeleton).Release so a steady-state build
-// allocates almost nothing.
+// RowTable holds the (1+ε)-rounded ℓ-hop numerator rows d̃^ℓ(s, ·) of
+// one network for one hop budget ℓ and rounding parameter ε, keyed by
+// source vertex and computed on first use. Every skeleton built from
+// the table (Skeleton) reads its rows in place, so a source shared by
+// many sampled sets has its row computed once. This is the centralized
+// simulation sharing work across sets; the distributed algorithm still
+// assembles one skeleton per set, and the charged schedules count it so.
+//
+// The table holds (distinct rows touched) × n numerators: at most 8n²
+// bytes, never preallocated. The table and the skeletons built from it
+// are safe for concurrent use: one mutex guards the lazy row fill, the
+// shared scratch, and every skeleton's query memo.
+type RowTable struct {
+	g      *graph.Graph
+	l      int   // hop budget ℓ
+	eps    Eps   // rounding parameter ε = 1/T
+	denOut int64 // common denominator 2·T·ℓ of every numerator
+	imax   int   // hoisted scale count: rounding scales run 0..imax
+	cap64  int64 // per-scale prune bound (1+2T)·ℓ
+
+	mu   sync.Mutex
+	bufs *tableBuffers
+}
+
+// tableBuffers is a row table's arena: the distance workspace (CSR
+// adjacency + frontier scratch), the per-arc numerator overlay, and the
+// rows. A table built for a standalone BuildSkeleton recycles its arena
+// through tablePool when the skeleton is released, rows included, so a
+// steady-state build allocates almost nothing.
+type tableBuffers struct {
+	ws    *graph.DistWorkspace
+	wden  []int64   // per-arc w·2Tℓ numerators (scale i divides by 2^i)
+	scale []int64   // per-scale bounded-hop scratch
+	rowOf []int32   // vertex -> index into rows, -1 until first use
+	rows  [][]int64 // d̃^ℓ numerator rows in fill order; a released arena's rows wait past len for reuse
+}
+
+var tablePool sync.Pool
+
+// getTableBuffers returns a pooled arena bound to g. Rows of its
+// previous use that are long enough for g stay parked past len(rows)
+// for the next fills.
+func getTableBuffers(g *graph.Graph) *tableBuffers {
+	b, _ := tablePool.Get().(*tableBuffers)
+	if b == nil {
+		return &tableBuffers{ws: graph.NewDistWorkspace(g)}
+	}
+	b.ws.Reset(g)
+	n := g.N()
+	all := b.rows[:cap(b.rows)]
+	kept := 0
+	for i, r := range all {
+		all[i] = nil
+		if cap(r) >= n {
+			all[kept] = r
+			kept++
+		}
+	}
+	return b
+}
+
+// NewRowTable returns an empty row table for g with hop budget l and
+// rounding parameter eps. Degenerate parameters are clamped to 1. The
+// table is not pooled: it and its rows are garbage once the caller drops
+// it and every skeleton built from it.
+func NewRowTable(g *graph.Graph, l int, eps Eps) *RowTable {
+	t := &RowTable{}
+	t.init(g, l, eps, &tableBuffers{ws: graph.NewDistWorkspace(g)})
+	return t
+}
+
+// init binds t to g over the arena bufs: the per-arc numerators, the
+// scale count and the prune bound, and an empty row index.
+func (t *RowTable) init(g *graph.Graph, l int, eps Eps, bufs *tableBuffers) {
+	if l < 1 {
+		l = 1
+	}
+	if eps.T < 1 {
+		eps.T = 1
+	}
+	n := g.N()
+	t.g, t.l, t.eps, t.denOut = g, l, eps, eps.Den(l)
+	t.cap64 = (1 + 2*eps.T) * int64(l) // scale-i values above it belong to larger scales
+	w := bufs.ws.MaxWeight()
+	if w < 1 {
+		w = 1
+	}
+	t.imax = IMax(n, w, eps)
+	t.bufs = bufs
+
+	// Per-arc numerators w·2Tℓ, shared read-only by every source row:
+	// scale i's rounded weight ⌈w·2Tℓ/2^i⌉ becomes an add-and-shift.
+	bufs.wden = bufs.ws.ArcWeights(bufs.wden)
+	for a := range bufs.wden {
+		bufs.wden[a] *= t.denOut
+	}
+	bufs.rowOf = growInt32(bufs.rowOf, n)
+	for v := range bufs.rowOf {
+		bufs.rowOf[v] = -1
+	}
+	bufs.rows = bufs.rows[:0]
+}
+
+// row returns d̃^ℓ(v, ·), computing it on first use. Callers must hold
+// t.mu. The returned slice stays valid, and is never written again, for
+// the table's lifetime.
+func (t *RowTable) row(v int) []int64 {
+	b := t.bufs
+	if j := b.rowOf[v]; j >= 0 {
+		return b.rows[j]
+	}
+	n := t.g.N()
+	j := len(b.rows)
+	var r []int64
+	if j < cap(b.rows) {
+		r = b.rows[:j+1][j] // a released arena's row, or nil
+	}
+	if r == nil {
+		r = make([]int64, n)
+	}
+	r = r[:n]
+	t.roundedRowInto(r, v)
+	b.rowOf[v] = int32(j)
+	b.rows = append(b.rows, r)
+	return r
+}
+
+// release returns the table's arena, rows included, to tablePool. Only
+// the exclusive owner may call it, with t.mu held.
+func (t *RowTable) release() {
+	b := t.bufs
+	t.bufs = nil
+	b.rows = b.rows[:0]
+	tablePool.Put(b)
+}
+
+// skelBuffers is the pooled per-set arena of one skeleton: everything
+// that depends on the set S_i, none of which depends on the rows'
+// provenance. Recycled through skelPool by (*Skeleton).Release.
 type skelBuffers struct {
-	ws   *graph.DistWorkspace
-	wden []int64 // per-arc w·2Tℓ numerators (scale i divides by 2^i)
+	srcIdx  []int32   // vertex -> index in Sources, -1 otherwise
+	srcRows [][]int64 // table row of each source, read in place
+	ecc     []int64   // memoized ẽ numerators, -1 if unset
+	overlay []int64   // flat b×b overlay distances
 
-	rows    []int64 // flat row-major d̃^ℓ numerators (b base rows + query rows)
-	srcIdx  []int32 // vertex -> index in Sources, -1 otherwise
-	rowOf   []int32 // vertex -> row index into rows, -1 if uncomputed
-	ecc     []int64 // memoized ẽ numerators, -1 if unset
-	overlay []int64 // flat b×b overlay distances
-
-	scale []int64 // per-scale bounded-hop scratch (build + query path)
 	entry []int64 // ApproxEccentricity's per-skeleton-node entry costs
 	full  []int64 // overlay build: flat b×b complete distances
 	keep  []bool  // overlay build: flat b×b sparsification mask
@@ -41,38 +170,42 @@ type skelBuffers struct {
 
 var skelPool sync.Pool
 
-func getSkelBuffers(g *graph.Graph) *skelBuffers {
-	b, _ := skelPool.Get().(*skelBuffers)
-	if b == nil {
-		b = &skelBuffers{}
+func getSkelBuffers() *skelBuffers {
+	if b, _ := skelPool.Get().(*skelBuffers); b != nil {
+		return b
 	}
-	if b.ws == nil {
-		b.ws = graph.NewDistWorkspace(g)
-	} else {
-		b.ws.Reset(g)
-	}
-	return b
+	return &skelBuffers{}
 }
 
-// Release returns the skeleton's build arena to the package pool. Call
-// it only as the exclusive owner, when no queries against the skeleton
-// can follow (internal/core releases the per-evaluation skeletons it
-// builds and discards; the sketch cache of internal/server must NOT
-// release entries it may still be serving). After Release every query
-// method of the skeleton panics.
+// Release returns the skeleton's per-set arena to the package pool and,
+// for a skeleton from BuildSkeleton, its private row table's arena too.
+// Call it only as the exclusive owner, when no queries against the
+// skeleton can follow (internal/core releases each skeleton of its row
+// table once the set's inner search is done; the sketch cache of
+// internal/server must NOT release entries it may still be serving).
+// After Release every query method of the skeleton panics.
 func (sk *Skeleton) Release() {
 	// Taking the query mutex closes the window where a misused Release
-	// races an in-flight query: the arena is recycled only after any
+	// races an in-flight query: the arenas are recycled only after any
 	// current query finishes, so the race fails loudly (nil bufs) in the
 	// racing caller instead of corrupting a later build.
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
+	t := sk.tab
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	b := sk.bufs
 	if b == nil {
 		return
 	}
 	sk.bufs = nil
+	// Drop the row references so the pool does not keep a shared
+	// table's rows alive after its owner drops it.
+	for j := range b.srcRows {
+		b.srcRows[j] = nil
+	}
 	skelPool.Put(b)
+	if sk.ownsTable {
+		t.release()
+	}
 }
 
 // dedupSources returns s with duplicates removed, preserving first
@@ -93,16 +226,6 @@ func dedupSources(s []int, srcIdx []int32) []int {
 		out = append(out, v)
 	}
 	return out
-}
-
-// buildRows computes the rounded ℓ-hop numerator row of every skeleton
-// source, in source order, into its slot of the flat rows array.
-func (sk *Skeleton) buildRows() {
-	n := sk.bufs.ws.N()
-	sk.bufs.rows = growInt64(sk.bufs.rows, len(sk.Sources)*n)
-	for j, v := range sk.Sources {
-		sk.roundedRowInto(sk.bufs.rows[j*n:(j+1)*n], v)
-	}
 }
 
 // roundedRowInto computes the numerators of the (1+ε)-approximate
@@ -130,14 +253,14 @@ func (sk *Skeleton) buildRows() {
 // beyond ℓ hops never settle, and then every scale runs. The charged
 // Algorithm 1 schedule (internal/core/cost.go) and the executable
 // RunAlg1 still count all i_max+1 scales.
-func (sk *Skeleton) roundedRowInto(row []int64, src int) {
-	b := sk.bufs
+func (t *RowTable) roundedRowInto(row []int64, src int) {
+	b := t.bufs
 	for v := range row {
 		row[v] = graph.Inf
 	}
 	settled := 0
-	for i := 0; i <= sk.imax && settled < len(row); i++ {
-		b.scale = b.ws.BoundedHopInto(b.scale, src, sk.L, b.wden, uint(i), sk.cap64)
+	for i := 0; i <= t.imax && settled < len(row); i++ {
+		b.scale = b.ws.BoundedHopInto(b.scale, src, t.l, b.wden, uint(i), t.cap64)
 		for v, bh := range b.scale {
 			if bh == graph.Inf {
 				continue
@@ -176,6 +299,13 @@ func growBool(s []bool, n int) []bool {
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
+	}
+	return s[:n]
+}
+
+func growRows(s [][]int64, n int) [][]int64 {
+	if cap(s) < n {
+		return make([][]int64, n)
 	}
 	return s[:n]
 }

@@ -65,24 +65,6 @@ func refRoundedBoundedHopDist(g *graph.Graph, src, l int, eps Eps) []int64 {
 	return out
 }
 
-// rowSkeleton returns a bare skeleton over g that carries only what
-// roundedRowInto reads (hop budget, prune bound, scale count and the
-// per-arc numerator overlay), for tests that compute single rows.
-// Release it when done.
-func rowSkeleton(g *graph.Graph, l int, eps Eps) *Skeleton {
-	sk := &Skeleton{
-		G: g, L: l, K: 1, Eps: eps, DenOut: eps.Den(l),
-		cap64: (1 + 2*eps.T) * int64(l),
-		imax:  IMax(g.N(), maxW(g), eps),
-		bufs:  getSkelBuffers(g),
-	}
-	sk.bufs.wden = sk.bufs.ws.ArcWeights(sk.bufs.wden)
-	for a := range sk.bufs.wden {
-		sk.bufs.wden[a] *= sk.DenOut
-	}
-	return sk
-}
-
 // goldenGraphs is the E1–E14 workload family: the deterministic shapes
 // of the unit suites, the random weighted graphs of the scaling and
 // quality experiments (E1–E5), the barbell of the determinism suite,
@@ -109,17 +91,16 @@ func TestGoldenKernelEquivalence(t *testing.T) {
 	for gi, g := range goldenGraphs() {
 		for _, eps := range []Eps{{T: 1}, {T: 4}, EpsForN(g.N())} {
 			for _, l := range []int{1, 2, 5, g.N() / 2, g.N()} {
-				sk := rowSkeleton(g, l, eps)
+				tab := NewRowTable(g, l, eps)
 				for src := 0; src < g.N(); src += 1 + g.N()/5 {
 					want := refRoundedBoundedHopDist(g, src, l, eps)
 					got := make([]int64, g.N())
-					sk.roundedRowInto(got, src)
+					tab.roundedRowInto(got, src)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("graph %d, eps T=%d, l=%d, src=%d: kernel diverged from reference",
 							gi, eps.T, l, src)
 					}
 				}
-				sk.Release()
 			}
 		}
 	}
@@ -139,11 +120,9 @@ func TestGoldenSkeletonRows(t *testing.T) {
 		}
 		l, k := g.N()/2+1, 2
 		sk := BuildSkeleton(g, s, l, k, eps)
-		n := g.N()
 		for j, v := range sk.Sources {
 			want := refRoundedBoundedHopDist(g, v, l, eps)
-			got := sk.bufs.rows[j*n : (j+1)*n]
-			if !reflect.DeepEqual([]int64(got), want) {
+			if got := sk.bufs.srcRows[j]; !reflect.DeepEqual(got, want) {
 				t.Fatalf("graph %d: row of source %d diverged from reference", gi, v)
 			}
 		}
@@ -154,6 +133,60 @@ func TestGoldenSkeletonRows(t *testing.T) {
 			t.Fatalf("graph %d: rebuild on a recycled arena diverged", gi)
 		}
 		re.Release()
+	}
+}
+
+// TestRowTableSharedEquivalence checks the shared row table against
+// standalone builds on the TestGoldenSkeletonRows corpus plus random
+// connected graphs. Many random sets (duplicates included) are built
+// over one table in a shuffled order and kept alive together, then
+// queried at every vertex in a shuffled order, so rows one skeleton
+// fills serve the others. Each must equal a fresh BuildSkeleton of its
+// set in Sources, overlay and ẽ at every vertex.
+func TestRowTableSharedEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	graphs := append(goldenGraphs(), adversarialDistGraphs()...)
+	for i := 0; i < 6; i++ {
+		n := 10 + rng.Intn(40)
+		graphs = append(graphs, graph.RandomWeights(graph.RandomConnected(n, 2*n, rng), 1+rng.Int63n(30), rng))
+	}
+	for gi, g := range graphs {
+		n := g.N()
+		l := []int{2, n/3 + 1, n}[gi%3]
+		eps := EpsForN(n)
+		tab := NewRowTable(g, l, eps)
+		const sets = 12
+		ss, ks := make([][]int, sets), make([]int, sets)
+		for i := range ss {
+			p := float64(1+rng.Intn(8)) / float64(n)
+			for v := 0; v < n; v++ {
+				if rng.Float64() < p {
+					ss[i] = append(ss[i], v)
+				}
+			}
+			ss[i] = append(ss[i], rng.Intn(n), rng.Intn(n))
+			ks[i] = 1 + rng.Intn(4)
+		}
+		shared := make([]*Skeleton, sets)
+		for _, i := range rng.Perm(sets) {
+			shared[i] = tab.Skeleton(ss[i], ks[i])
+		}
+		for _, i := range rng.Perm(sets) {
+			sk, ref := shared[i], BuildSkeleton(g, ss[i], l, ks[i], eps)
+			if !reflect.DeepEqual(sk.Sources, ref.Sources) {
+				t.Fatalf("graph %d, set %d: Sources %v, standalone %v", gi, i, sk.Sources, ref.Sources)
+			}
+			if !reflect.DeepEqual(sk.bufs.overlay, ref.bufs.overlay) {
+				t.Fatalf("graph %d, set %d: overlay differs from the standalone build", gi, i)
+			}
+			for _, v := range rng.Perm(n) {
+				if got, want := sk.ApproxEccentricity(v), ref.ApproxEccentricity(v); got != want {
+					t.Fatalf("graph %d, set %d: ẽ(%d) = %d over the shared table, %d standalone", gi, i, v, got, want)
+				}
+			}
+			ref.Release()
+			sk.Release()
+		}
 	}
 }
 
@@ -221,8 +254,9 @@ func TestSkeletonReleaseReuse(t *testing.T) {
 }
 
 // TestSkeletonConcurrentQueries exercises the query-path mutex: many
-// goroutines querying one skeleton (including lazy non-source rows)
-// must agree with a sequential pass. Run under -race in CI.
+// goroutines querying one skeleton (including lazy non-source rows), or
+// skeletons of one shared row table, must agree with a sequential pass.
+// Run under -race in CI.
 func TestSkeletonConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	g := graph.RandomWeights(graph.RandomConnected(24, 60, rng), 7, rng)
@@ -242,6 +276,40 @@ func TestSkeletonConcurrentQueries(t *testing.T) {
 				u := (v + w*5) % g.N()
 				if got := sk.ApproxEccentricity(u); got != want[u] {
 					done <- &mismatchErr{u, got, want[u]}
+					return
+				}
+			}
+			done <- nil
+		}(w)
+	}
+	for w := 0; w < 8; w++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Skeletons of one shared table, built and queried from several
+	// goroutines at once, fill the table's rows concurrently.
+	sets := [][]int{{1, 6, 12, 18}, {2, 6, 13}, {0, 18, 23, 7}, {1, 12}}
+	wants := make([][]int64, len(sets))
+	for i, s := range sets {
+		ref := BuildSkeleton(g, s, 10, 2, eps)
+		wants[i] = make([]int64, g.N())
+		for v := range wants[i] {
+			wants[i][v] = ref.ApproxEccentricity(v)
+		}
+		ref.Release()
+	}
+	tab := NewRowTable(g, 10, eps)
+	for w := 0; w < 8; w++ {
+		go func(w int) {
+			i := w % len(sets)
+			shared := tab.Skeleton(sets[i], 2)
+			defer shared.Release()
+			for v := 0; v < g.N(); v++ {
+				u := (v + w*7) % g.N()
+				if got := shared.ApproxEccentricity(u); got != wants[i][u] {
+					done <- &mismatchErr{u, got, wants[i][u]}
 					return
 				}
 			}
@@ -319,10 +387,8 @@ func FuzzRoundedHopDist(f *testing.F) {
 		src := rng.Intn(n)
 		want := refRoundedBoundedHopDist(g, src, l, eps)
 
-		sk := rowSkeleton(g, l, eps)
 		got := make([]int64, n)
-		sk.roundedRowInto(got, src)
-		sk.Release()
+		NewRowTable(g, l, eps).roundedRowInto(got, src)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("kernel diverged from ℓ-hop reference (n=%d m=%d l=%d T=%d src=%d)\n got %v\nwant %v",
 				n, g.M(), l, eps.T, src, got, want)
@@ -377,10 +443,10 @@ func TestRoundedRowEarlyExitProperty(t *testing.T) {
 		}
 		for _, eps := range []Eps{{T: 1}, {T: 3}, EpsForN(n)} {
 			for _, l := range []int{n - 1, n + 3, 2} {
-				sk := rowSkeleton(g, l, eps)
+				tab := NewRowTable(g, l, eps)
 				src := rng.Intn(n)
 				got := make([]int64, n)
-				sk.roundedRowInto(got, src)
+				tab.roundedRowInto(got, src)
 				if want := refRoundedBoundedHopDist(g, src, l, eps); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d (n=%d W=%d T=%d l=%d src=%d): early-exit row diverged\n got %v\nwant %v",
 						trial, n, maxw, eps.T, l, src, got, want)
@@ -394,8 +460,8 @@ func TestRoundedRowEarlyExitProperty(t *testing.T) {
 				}
 				lastSettle := -1
 				var scratch []int64
-				for i := 0; i <= sk.imax; i++ {
-					scratch = ws.BoundedHopInto(scratch, src, l, sk.bufs.wden, uint(i), sk.cap64)
+				for i := 0; i <= tab.imax; i++ {
+					scratch = ws.BoundedHopInto(scratch, src, l, tab.bufs.wden, uint(i), tab.cap64)
 					for v, bh := range scratch {
 						if bh == graph.Inf {
 							continue
@@ -418,12 +484,11 @@ func TestRoundedRowEarlyExitProperty(t *testing.T) {
 					settledAll = settledAll && d != graph.Inf
 				}
 				switch {
-				case settledAll && lastSettle < sk.imax:
+				case settledAll && lastSettle < tab.imax:
 					exitFired++
 				case !settledAll:
 					allScales++
 				}
-				sk.Release()
 			}
 		}
 	}

@@ -10,14 +10,13 @@
 // charged by internal/core's cost model, whose schedules the parity
 // tests check against the executable procedures. The heavy lifting — the
 // per-source rounded bounded-hop sweeps — runs on the frontier kernel of
-// graph.DistWorkspace through the pooled build arena in kernel.go, and
-// all bookkeeping is index-keyed flat slices (no maps on the hot path).
+// graph.DistWorkspace through the row table in kernel.go, and all
+// bookkeeping is index-keyed flat slices (no maps on the hot path).
 
 package dist
 
 import (
 	"sort"
-	"sync"
 
 	"qcongest/internal/graph"
 )
@@ -28,8 +27,8 @@ import (
 // graph.Inf marks a pair unreachable within the hop budget.
 //
 // Query methods (ApproxEccentricity, TopMass, BottomMass) are safe for
-// concurrent use: the lazy row/eccentricity memo is guarded by an
-// internal mutex, so a cached skeleton can serve concurrent requests
+// concurrent use: the lazy row/eccentricity memo is guarded by the row
+// table's mutex, so a cached skeleton can serve concurrent requests
 // (see internal/server's sketch cache).
 type Skeleton struct {
 	// G is the underlying network.
@@ -49,11 +48,9 @@ type Skeleton struct {
 	// skeleton returns.
 	DenOut int64
 
-	imax  int   // hoisted scale count: rounding scales run 0..imax
-	cap64 int64 // per-scale prune bound (1+2T)·ℓ
-
-	mu   sync.Mutex
-	bufs *skelBuffers
+	tab       *RowTable // the rows d̃^ℓ(s, ·), read in place
+	ownsTable bool      // tab is private to this skeleton (BuildSkeleton)
+	bufs      *skelBuffers
 }
 
 // BuildSkeleton computes the Lemma 3.2 skeleton of the set s in g with
@@ -61,60 +58,25 @@ type Skeleton struct {
 // Degenerate parameters are clamped to 1 so every input is runnable.
 //
 // For each skeleton node the (1+ε)-rounded ℓ-hop distances to all of V
-// are computed (the numerators internal/core's memory note refers to:
-// O(|S_i|·n) of them), then the overlay is assembled and sparsified to
-// the k shortest edges per node, and overlay distances between skeleton
-// nodes are taken with the Algorithm 5 hop bound ⌈4b/k⌉. The build runs
-// on the calling goroutine; independent builds parallelize one level up.
+// are computed (O(|S_i|·n) numerators), then the overlay is assembled
+// and sparsified to the k shortest edges per node, and overlay
+// distances between skeleton nodes are taken with the Algorithm 5 hop
+// bound ⌈4b/k⌉. The skeleton owns a private row table on a pooled
+// arena, so it computes exactly its own sources' rows (plus any vertex
+// it is queried at); Release recycles both. Callers that build many
+// skeletons over one (g, l, eps) share a NewRowTable instead. The build
+// runs on the calling goroutine; independent builds parallelize one
+// level up.
 func BuildSkeleton(g *graph.Graph, s []int, l, k int, eps Eps) *Skeleton {
-	if l < 1 {
-		l = 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	if eps.T < 1 {
-		eps.T = 1
-	}
-	bufs := getSkelBuffers(g)
-	n := g.N()
-	sk := &Skeleton{
-		G:      g,
-		L:      l,
-		K:      k,
-		Eps:    eps,
-		DenOut: eps.Den(l),
-		cap64:  (1 + 2*eps.T) * int64(l), // scale-i values above it belong to larger scales
-		bufs:   bufs,
-	}
-	w := bufs.ws.MaxWeight()
-	if w < 1 {
-		w = 1
-	}
-	sk.imax = IMax(n, w, eps)
-
-	// Per-arc numerators w·2Tℓ, shared read-only by every source row:
-	// scale i's rounded weight ⌈w·2Tℓ/2^i⌉ becomes an add-and-shift.
-	bufs.wden = bufs.ws.ArcWeights(bufs.wden)
-	for a := range bufs.wden {
-		bufs.wden[a] *= sk.DenOut
-	}
-
-	bufs.srcIdx = growInt32(bufs.srcIdx, n)
-	sk.Sources = dedupSources(s, bufs.srcIdx)
-
-	bufs.rowOf = growInt32(bufs.rowOf, n)
-	bufs.ecc = growInt64(bufs.ecc, n)
-	for v := 0; v < n; v++ {
-		bufs.rowOf[v] = -1
-		bufs.ecc[v] = -1
-	}
-	sk.buildRows()
-	for j, v := range sk.Sources {
-		bufs.rowOf[v] = int32(j)
-	}
-	sk.buildOverlay()
-	return sk
+	// One allocation holds the skeleton and its private table.
+	own := &struct {
+		sk  Skeleton
+		tab RowTable
+	}{}
+	own.tab.init(g, l, eps, getTableBuffers(g))
+	own.tab.assemble(&own.sk, s, k)
+	own.sk.ownsTable = true
+	return &own.sk
 }
 
 // BuildSkeletonOpts is empty. It survives only so that
@@ -128,6 +90,43 @@ func BuildSkeletonWith(g *graph.Graph, s []int, l, k int, eps Eps, _ BuildSkelet
 	return BuildSkeleton(g, s, l, k, eps)
 }
 
+// Skeleton assembles the Lemma 3.2 skeleton of the set s over the
+// table's rows, with sparsification parameter k (clamped to 1). It does
+// only the per-set work: deduplicate s, fill any of its rows the table
+// lacks, and build the Algorithm 4/5 overlay. The result equals
+// BuildSkeleton(g, s, l, k, eps) over the table's g, l and eps in every
+// field and answer.
+// Release it when its queries are done; the table stays usable.
+func (t *RowTable) Skeleton(s []int, k int) *Skeleton {
+	sk := &Skeleton{}
+	t.assemble(sk, s, k)
+	return sk
+}
+
+// assemble builds the skeleton of s into sk.
+func (t *RowTable) assemble(sk *Skeleton, s []int, k int) {
+	if k < 1 {
+		k = 1
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	*sk = Skeleton{G: t.g, L: t.l, K: k, Eps: t.eps, DenOut: t.denOut, tab: t}
+	n := t.g.N()
+	bufs := getSkelBuffers()
+	sk.bufs = bufs
+	bufs.srcIdx = growInt32(bufs.srcIdx, n)
+	sk.Sources = dedupSources(s, bufs.srcIdx)
+	bufs.ecc = growInt64(bufs.ecc, n)
+	for v := range bufs.ecc {
+		bufs.ecc[v] = -1
+	}
+	bufs.srcRows = growRows(bufs.srcRows, len(sk.Sources))
+	for j, v := range sk.Sources {
+		bufs.srcRows[j] = t.row(v)
+	}
+	sk.buildOverlay()
+}
+
 // buildOverlay assembles the Algorithm 4 overlay: complete rounded
 // distances between skeleton nodes, sparsified to the union of each
 // node's k shortest edges, then closed under the Algorithm 5 hop bound
@@ -136,11 +135,9 @@ func BuildSkeletonWith(g *graph.Graph, s []int, l, k int, eps Eps, _ BuildSkelet
 func (sk *Skeleton) buildOverlay() {
 	bufs := sk.bufs
 	b := len(sk.Sources)
-	n := bufs.ws.N()
 	bufs.full = growInt64(bufs.full, b*b)
 	full := bufs.full
-	for j := range sk.Sources {
-		row := bufs.rows[j*n : (j+1)*n]
+	for j, row := range bufs.srcRows {
 		for t, u := range sk.Sources {
 			full[j*b+t] = row[u]
 		}
@@ -215,35 +212,6 @@ func (sk *Skeleton) buildOverlay() {
 	bufs.cur, bufs.next = cur, next
 }
 
-// row returns d̃^ℓ(v, ·), computing and caching it for vertices outside
-// the skeleton (Lemma 3.5 evaluates ẽ at skeleton nodes, but queries at
-// arbitrary vertices are supported for the experiment harness). Callers
-// must hold sk.mu.
-func (sk *Skeleton) row(v int) []int64 {
-	bufs := sk.bufs
-	n := bufs.ws.N()
-	if j := bufs.rowOf[v]; j >= 0 {
-		return bufs.rows[int(j)*n : (int(j)+1)*n]
-	}
-	j := len(bufs.rows) / n
-	if cap(bufs.rows) < (j+1)*n {
-		// Grow geometrically: query sweeps over many non-source vertices
-		// would otherwise copy the whole slab every other row.
-		newCap := 2 * cap(bufs.rows)
-		if newCap < (j+1)*n {
-			newCap = (j + 1) * n
-		}
-		grown := make([]int64, (j+1)*n, newCap)
-		copy(grown, bufs.rows)
-		bufs.rows = grown
-	} else {
-		bufs.rows = bufs.rows[:(j+1)*n]
-	}
-	sk.roundedRowInto(bufs.rows[j*n:(j+1)*n], v)
-	bufs.rowOf[v] = int32(j)
-	return bufs.rows[j*n : (j+1)*n]
-}
-
 // ApproxEccentricity returns the numerator of ẽ_{G,w,i}(v) over DenOut:
 // the Lemma 3.3 approximate eccentricity of v through the skeleton,
 // max_u min_t [ d̃_H(v, t) + d̃^ℓ(t, u) ] with t ranging over the
@@ -252,15 +220,14 @@ func (sk *Skeleton) row(v int) []int64 {
 // most ℓ hops it is at most (1+ε)·e_{G,w}(v)·DenOut. A value of
 // graph.Inf marks some vertex unreachable within the hop budget.
 func (sk *Skeleton) ApproxEccentricity(v int) int64 {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
+	sk.tab.mu.Lock()
+	defer sk.tab.mu.Unlock()
 	bufs := sk.bufs
 	if e := bufs.ecc[v]; e >= 0 {
 		return e
 	}
-	rowV := sk.row(v)
+	rowV := sk.tab.row(v)
 	b := len(sk.Sources)
-	n := bufs.ws.N()
 
 	// entry[t]: best known distance from v to skeleton node t — directly
 	// (one rounded ℓ-hop leg) or through the sparsified overlay.
@@ -300,7 +267,7 @@ func (sk *Skeleton) ApproxEccentricity(v int) int64 {
 			if entry[t] == graph.Inf {
 				continue
 			}
-			rt := bufs.rows[t*n : (t+1)*n]
+			rt := bufs.srcRows[t]
 			if rt[u] == graph.Inf {
 				continue
 			}

@@ -32,14 +32,22 @@ type SearchResult struct {
 // domain and returns the resulting state (Exact engine building block).
 func GroverIterate(domain uint64, marked func(uint64) bool, j int) *State {
 	s := NewUniform(domain)
-	// Padding states above the domain carry zero amplitude; guard the
-	// oracle so predicates defined only on [0, domain) stay safe.
-	guarded := func(x uint64) bool { return x < domain && marked(x) }
+	s.groverIterations(domain, marked, j)
+	return s
+}
+
+// groverIterations applies j Grover iterations to s in place. Padding
+// states above the domain carry zero amplitude and are never flipped,
+// so predicates defined only on [0, domain) stay safe.
+func (s *State) groverIterations(domain uint64, marked func(uint64) bool, j int) {
 	for it := 0; it < j; it++ {
-		s.OraclePhaseFlip(guarded)
+		for x := uint64(0); x < domain; x++ {
+			if marked(x) {
+				s.amp[x] = -s.amp[x]
+			}
+		}
 		s.reflectAboutUniform(domain)
 	}
-	return s
 }
 
 // reflectAboutUniform is s.ReflectAbout(NewUniform(domain)) without
@@ -92,10 +100,13 @@ func countMarked(domain uint64, marked func(uint64) bool) uint64 {
 }
 
 // runGrover executes j Grover iterations and one measurement, via the
-// chosen engine, returning the measured basis state.
-func runGrover(e Engine, domain uint64, marked func(uint64) bool, j int, rng *rand.Rand) uint64 {
+// chosen engine, returning the measured basis state. The Exact engine
+// runs on s, a state over domain that it resets to uniform first; the
+// Sampled engine ignores s.
+func runGrover(e Engine, s *State, domain uint64, marked func(uint64) bool, j int, rng *rand.Rand) uint64 {
 	if e == Exact {
-		s := GroverIterate(domain, marked, j)
+		s.setUniform(domain)
+		s.groverIterations(domain, marked, j)
 		// Restrict measurement to the domain (padding amplitudes are 0).
 		return s.Measure(rng)
 	}
@@ -143,9 +154,14 @@ func BBHT(e Engine, domain uint64, marked func(uint64) bool, rng *rand.Rand) Sea
 	// counts round to zero) exceeds ~9√N, a marked element would have been
 	// found with overwhelming probability; conclude none exists.
 	budget := int64(9*sqrtN) + 16
+	// One state vector serves every Grover run of the search.
+	var s *State
+	if e == Exact {
+		s = NewUniform(domain)
+	}
 	for res.Queries <= budget {
 		j := rng.Intn(int(m))
-		x := runGrover(e, domain, marked, j, rng)
+		x := runGrover(e, s, domain, marked, j, rng)
 		res.Rounds += int64(j)
 		res.Measures++
 		res.Queries += int64(j) + 1 // +1: classical verification of x

@@ -213,10 +213,11 @@ func TestEnginesAgreeOnSuccessRate(t *testing.T) {
 	want := SuccessProbability(domain, 3, j)
 	for _, e := range []Engine{Exact, Sampled} {
 		rng := rand.New(rand.NewSource(7))
+		s := NewUniform(domain)
 		hits := 0
 		const trials = 3000
 		for i := 0; i < trials; i++ {
-			if marked(runGrover(e, domain, marked, j, rng)) {
+			if marked(runGrover(e, s, domain, marked, j, rng)) {
 				hits++
 			}
 		}
@@ -413,7 +414,9 @@ func TestSuccessProbabilityEdgeCases(t *testing.T) {
 // TestGroverIterateMatchesAxisReflection pins the in-place uniform
 // reflection of GroverIterate bit for bit (padding included) against
 // the explicit reflection about a NewUniform axis state, on
-// power-of-two and other domains and several iteration counts.
+// power-of-two and other domains and several iteration counts. It pins
+// BBHT's reuse the same way: one state reset to uniform before each
+// run, as runGrover does, must match a fresh state after every run.
 func TestGroverIterateMatchesAxisReflection(t *testing.T) {
 	marks := []func(uint64) bool{
 		func(x uint64) bool { return x == 0 },
@@ -421,9 +424,12 @@ func TestGroverIterateMatchesAxisReflection(t *testing.T) {
 		func(x uint64) bool { return x%2 == 0 },
 	}
 	for _, domain := range []uint64{1, 2, 3, 5, 8, 13, 16, 37, 64, 100} {
+		reused := NewUniform(domain)
 		for mi, marked := range marks {
 			for _, j := range []int{0, 1, 2, 3, 5, 9} {
 				got := GroverIterate(domain, marked, j)
+				reused.setUniform(domain)
+				reused.groverIterations(domain, marked, j)
 				want := NewUniform(domain)
 				axis := NewUniform(domain)
 				for it := 0; it < j; it++ {
@@ -434,13 +440,43 @@ func TestGroverIterateMatchesAxisReflection(t *testing.T) {
 					t.Fatalf("domain %d: dim %d, want %d", domain, got.Dim(), want.Dim())
 				}
 				for x := uint64(0); x < uint64(want.Dim()); x++ {
-					g, w := got.Amplitude(x), want.Amplitude(x)
-					if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
-						math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
-						t.Fatalf("domain %d, mark %d, j=%d: amp(%d) = %v, want %v", domain, mi, j, x, g, w)
+					w := want.Amplitude(x)
+					for _, g := range []complex128{got.Amplitude(x), reused.Amplitude(x)} {
+						if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
+							math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+							t.Fatalf("domain %d, mark %d, j=%d: amp(%d) = %v, want %v", domain, mi, j, x, g, w)
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBBHTAllocGuard is an allocation-regression guard of the CI
+// workflow: an Exact-engine BBHT keeps one state vector across its
+// Grover runs, so it allocates a constant number of objects (the State
+// header and its amplitudes) however many runs it makes.
+func TestBBHTAllocGuard(t *testing.T) {
+	const domain = 256
+	rng := rand.New(rand.NewSource(73))
+	for _, c := range []struct {
+		name    string
+		marked  func(uint64) bool
+		minRuns int64
+	}{
+		{"one marked", func(x uint64) bool { return x == 99 }, 1},
+		{"none marked", func(uint64) bool { return false }, 10},
+	} {
+		var runs int64
+		allocs := testing.AllocsPerRun(20, func() {
+			runs = BBHT(Exact, domain, c.marked, rng).Measures
+		})
+		if runs < c.minRuns {
+			t.Fatalf("%s: BBHT made %d Grover runs, want at least %d", c.name, runs, c.minRuns)
+		}
+		if allocs > 2 {
+			t.Fatalf("%s: BBHT over domain %d allocates %.1f objects per search (%d runs), ceiling 2", c.name, domain, allocs, runs)
 		}
 	}
 }

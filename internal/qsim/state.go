@@ -48,11 +48,22 @@ func NewUniform(domain uint64) *State {
 		n++
 	}
 	s := &State{n: n, amp: make([]complex128, 1<<uint(n))}
-	a := complex(1/math.Sqrt(float64(domain)), 0)
-	for x := uint64(0); x < domain; x++ {
-		s.amp[x] = a
-	}
+	s.setUniform(domain)
 	return s
+}
+
+// setUniform resets s in place to the uniform superposition over
+// 0..domain-1, with zero amplitude on the padding above domain. The
+// state must have been made for domain (NewUniform).
+func (s *State) setUniform(domain uint64) {
+	a := complex(1/math.Sqrt(float64(domain)), 0)
+	for x := range s.amp {
+		if uint64(x) < domain {
+			s.amp[x] = a
+		} else {
+			s.amp[x] = 0
+		}
+	}
 }
 
 // Qubits returns the number of qubits.
