@@ -131,7 +131,7 @@ func approximateWithParams(g *graph.Graph, mode Mode, params Params, opts Option
 		}
 	}
 
-	eval := newEvaluator(g, params, mode, opts, rng)
+	eval := newEvaluator(g, params, opts, rng)
 
 	outer := qdist.Procedure{
 		Name:        "theorem-1.1-outer-" + mode.String(),
@@ -224,7 +224,6 @@ func checkGoodScale(sets [][]int, r int) bool {
 // queries are done.
 type evaluator struct {
 	params Params
-	mode   Mode
 	opts   Options
 	rng    *rand.Rand
 	tab    *dist.RowTable
@@ -233,9 +232,9 @@ type evaluator struct {
 	innerRounds int64
 }
 
-func newEvaluator(g *graph.Graph, params Params, mode Mode, opts Options, rng *rand.Rand) *evaluator {
+func newEvaluator(g *graph.Graph, params Params, opts Options, rng *rand.Rand) *evaluator {
 	return &evaluator{
-		params: params, mode: mode, opts: opts, rng: rng,
+		params: params, opts: opts, rng: rng,
 		tab:      dist.NewRowTable(g, params.L, params.Eps),
 		innerVal: make(map[string]int64),
 	}

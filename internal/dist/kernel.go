@@ -47,7 +47,7 @@ type RowTable struct {
 type tableBuffers struct {
 	ws    *graph.DistWorkspace
 	wden  []int64   // per-arc w·2Tℓ numerators (scale i divides by 2^i)
-	scale []int64   // per-scale bounded-hop scratch
+	scale []int64   // a row fill's per-scale scratch, then an ẽ query's minima
 	rowOf []int32   // vertex -> index into rows, -1 until first use
 	rows  [][]int64 // d̃^ℓ numerator rows in fill order; a released arena's rows wait past len for reuse
 }

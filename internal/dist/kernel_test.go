@@ -3,6 +3,7 @@ package dist
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"qcongest/internal/graph"
@@ -190,6 +191,98 @@ func TestRowTableSharedEquivalence(t *testing.T) {
 	}
 }
 
+// refApproxEccentricity is the vertex-major reference of the ẽ query,
+// over reference rows and the skeleton's overlay: entry costs to every
+// skeleton node, then for each vertex u the min over t of entry[t] +
+// d̃^ℓ(t, u), skipping Inf terms explicitly, and the max over u.
+func refApproxEccentricity(sk *Skeleton, rows map[int][]int64, v int) int64 {
+	row := func(u int) []int64 {
+		if rows[u] == nil {
+			rows[u] = refRoundedBoundedHopDist(sk.G, u, sk.L, sk.Eps)
+		}
+		return rows[u]
+	}
+	rowV := row(v)
+	b := len(sk.Sources)
+	overlay := sk.bufs.overlay
+	entry := make([]int64, b)
+	for t, u := range sk.Sources {
+		entry[t] = rowV[u]
+	}
+	if j := slices.Index(sk.Sources, v); j >= 0 {
+		for t := range entry {
+			entry[t] = min(entry[t], overlay[j*b+t])
+		}
+	} else {
+		for j, u := range sk.Sources {
+			for t := 0; t < b; t++ {
+				if rowV[u] != graph.Inf && overlay[j*b+t] != graph.Inf {
+					entry[t] = min(entry[t], rowV[u]+overlay[j*b+t])
+				}
+			}
+		}
+	}
+	var ecc int64
+	for u := 0; u < sk.G.N(); u++ {
+		best := rowV[u]
+		for t, s := range sk.Sources {
+			if rt := row(s); entry[t] != graph.Inf && rt[u] != graph.Inf {
+				best = min(best, entry[t]+rt[u])
+			}
+		}
+		ecc = max(ecc, best)
+	}
+	return min(ecc, graph.Inf)
+}
+
+// TestApproxEccentricityMatchesVertexMajor checks the row-streamed ẽ
+// query against the vertex-major reference at every vertex. Hop
+// budgets as small as 1 leave Inf entries in the rows and Inf entry
+// costs to skeleton nodes, which the streamed loop adds without a test;
+// the case counts assert both occur.
+func TestApproxEccentricityMatchesVertexMajor(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	graphs := append(goldenGraphs(), adversarialDistGraphs()...)
+	for i := 0; i < 4; i++ {
+		n := 10 + rng.Intn(30)
+		graphs = append(graphs, graph.RandomWeights(graph.RandomConnected(n, n+rng.Intn(n), rng), 1+rng.Int63n(20), rng))
+	}
+	infEntries, infEccs, finiteEccs := 0, 0, 0
+	for gi, g := range graphs {
+		n := g.N()
+		eps := EpsForN(n)
+		for _, l := range []int{1, 2, 4, n} {
+			var s []int
+			for v := 0; v < n; v++ {
+				if rng.Intn(4) == 0 {
+					s = append(s, v)
+				}
+			}
+			s = append(s, rng.Intn(n))
+			sk := BuildSkeleton(g, s, l, 1+rng.Intn(3), eps)
+			rows := map[int][]int64{}
+			for v := 0; v < n; v++ {
+				got, want := sk.ApproxEccentricity(v), refApproxEccentricity(sk, rows, v)
+				if got != want {
+					t.Fatalf("graph %d, l=%d: ẽ(%d) = %d, vertex-major reference %d", gi, l, v, got, want)
+				}
+				if slices.Contains(sk.bufs.entry, graph.Inf) {
+					infEntries++
+				}
+				if got == graph.Inf {
+					infEccs++
+				} else {
+					finiteEccs++
+				}
+			}
+			sk.Release()
+		}
+	}
+	if infEntries == 0 || infEccs == 0 || finiteEccs == 0 {
+		t.Fatalf("cases missed a regime: %d queries with Inf entries, %d Inf answers, %d finite", infEntries, infEccs, finiteEccs)
+	}
+}
+
 // snapshot copies a skeleton's overlay and its eccentricity numerators
 // over every vertex.
 func snapshot(sk *Skeleton) (overlay, eccs []int64) {
@@ -334,9 +427,10 @@ func (e *mismatchErr) Error() string {
 
 // TestBuildSkeletonAllocGuard is the allocation-regression guard of the
 // CI workflow: a steady-state (pooled) sequential build must stay under
-// a fixed allocation ceiling. The ceiling covers the Skeleton header,
-// the source list, and the overlay sort closures — not the rows, the
-// workspace, or the scratch, which the arena recycles.
+// a fixed allocation ceiling. A build allocates two objects, the
+// Skeleton header with its private table and the deduplicated source
+// list; the rows, the workspace and the scratch come from the recycled
+// arenas, and the overlay sort allocates nothing.
 func TestBuildSkeletonAllocGuard(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	g := graph.RandomWeights(graph.RandomConnected(96, 300, rng), 10, rng)
@@ -351,10 +445,42 @@ func TestBuildSkeletonAllocGuard(t *testing.T) {
 		sk := BuildSkeleton(g, s, 24, 3, eps)
 		sk.Release()
 	})
-	// 16 sources: header + dedup copy + 16 sort.Slice closures and their
-	// reflect headers leave ~4 allocations each of slack.
-	if allocs > 80 {
-		t.Fatalf("steady-state BuildSkeleton allocates %.0f objects per build, ceiling 80", allocs)
+	// Two objects measured, plus two of slack. Under -race the pool
+	// drops recycled arenas at random and a build then allocates a fresh
+	// one, so the race job keeps the earlier, loose ceiling.
+	ceiling := 4.0
+	if raceEnabled {
+		ceiling = 80
+	}
+	if allocs > ceiling {
+		t.Fatalf("steady-state BuildSkeleton allocates %.0f objects per build, ceiling %.0f", allocs, ceiling)
+	}
+}
+
+// TestApproxEccentricityAllocGuard is the query-side allocation guard
+// of the CI workflow: once a skeleton's rows are filled, an ẽ query
+// runs in the arena's scratch and allocates nothing. The memo is
+// cleared before each query so the guard times the real computation.
+func TestApproxEccentricityAllocGuard(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	g := graph.RandomWeights(graph.RandomConnected(96, 300, rng), 10, rng)
+	var s []int
+	for v := 0; v < g.N(); v += 6 {
+		s = append(s, v)
+	}
+	sk := BuildSkeleton(g, s, 24, 3, EpsForN(g.N()))
+	defer sk.Release()
+	for v := 0; v < g.N(); v++ {
+		sk.ApproxEccentricity(v)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for v := 0; v < g.N(); v++ {
+			sk.bufs.ecc[v] = -1
+			sk.ApproxEccentricity(v)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm ẽ queries allocate %.1f objects per sweep of %d queries, want 0", allocs, g.N())
 	}
 }
 

@@ -16,7 +16,8 @@
 package dist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"qcongest/internal/graph"
 )
@@ -156,7 +157,7 @@ func (sk *Skeleton) buildOverlay() {
 			order[t] = t
 		}
 		fr := full[j*b : (j+1)*b]
-		sort.Slice(order, func(a, c int) bool { return fr[order[a]] < fr[order[c]] })
+		slices.SortFunc(order, func(a, c int) int { return cmp.Compare(fr[a], fr[c]) })
 		kept := 0
 		for _, t := range order {
 			if t == j || fr[t] == graph.Inf {
@@ -260,27 +261,30 @@ func (sk *Skeleton) ApproxEccentricity(v int) int64 {
 		}
 	}
 
+	// best[u] = min(rowV[u], min_t entry[t] + d̃^ℓ(t, u)), streamed one
+	// source row at a time. Inf = 2^60 keeps entry[t] + Inf in range and
+	// never below best[u] <= rowV[u] <= Inf, so an Inf row entry needs
+	// no test and the max is at most Inf. The row fills are done, so
+	// best borrows the table's scale scratch.
+	tb := sk.tab.bufs
+	tb.scale = growInt64(tb.scale, len(rowV))
+	best := tb.scale
+	copy(best, rowV)
+	for t, rt := range bufs.srcRows {
+		et := entry[t]
+		if et == graph.Inf {
+			continue
+		}
+		for u, d := range rt {
+			if d += et; d < best[u] {
+				best[u] = d
+			}
+		}
+	}
 	var ecc int64
-	for u := 0; u < sk.G.N(); u++ {
-		best := rowV[u]
-		for t := range sk.Sources {
-			if entry[t] == graph.Inf {
-				continue
-			}
-			rt := bufs.srcRows[t]
-			if rt[u] == graph.Inf {
-				continue
-			}
-			if d := entry[t] + rt[u]; d < best {
-				best = d
-			}
-		}
-		if best > ecc {
-			ecc = best
-		}
-		if ecc >= graph.Inf {
-			ecc = graph.Inf
-			break
+	for _, d := range best {
+		if d > ecc {
+			ecc = d
 		}
 	}
 	bufs.ecc[v] = ecc

@@ -66,17 +66,71 @@ func (g *Graph) UnweightedEccentricity(u int) int64 {
 
 // UnweightedDiameter returns D_G, the hop diameter of the underlying
 // unweighted network. This is the parameter D in the paper's round bounds.
+// It is exact, and Inf on a disconnected graph; see boundingDiameter for
+// how it avoids most of the n BFS runs.
 func (g *Graph) UnweightedDiameter() int64 {
-	var d int64
-	ws := NewDistWorkspace(g)
-	var bfs []int64
-	for u := 0; u < g.n; u++ {
-		bfs = ws.BFSInto(bfs, u)
-		if e := maxOf(bfs); e > d {
-			d = e
+	if g.n <= 1 {
+		return 0
+	}
+	return boundingDiameter(g.n, NewDistWorkspace(g).BFSInto)
+}
+
+// boundingDiameter computes the exact diameter max_v e(v) of a graph on
+// n ≥ 2 vertices from the BFS runs bfs(dst, src) by eccentricity
+// bounding (Takes & Kosters, "Determining the diameter of small world
+// networks", CIKM 2011). A BFS from v with eccentricity e gives every
+// vertex w at distance d the bounds max(d, e−d) ≤ e(w) ≤ e+d. Sources
+// alternate between the vertex with the largest upper bound and the
+// unresolved vertex with the smallest lower bound, lowest index on ties,
+// and the sweep stops once max lo = max hi: that value is then the
+// diameter. A BFS fixes its source's bounds to lo = hi = e, so the
+// sweep makes progress every run and its worst case is n runs. The first
+// BFS to leave a vertex unreached returns Inf.
+func boundingDiameter(n int, bfs func(dst []int64, src int) []int64) int64 {
+	lo := make([]int64, 2*n)
+	lo, hi := lo[:n], lo[n:]
+	for w := range hi {
+		hi[w] = Inf
+	}
+	var d []int64
+	for pickHi := true; ; pickHi = !pickHi {
+		var maxLo int64
+		v, vHi := 0, int64(-1)
+		for w, h := range hi {
+			if lo[w] > maxLo {
+				maxLo = lo[w]
+			}
+			if h > vHi {
+				v, vHi = w, h
+			}
+		}
+		if maxLo == vHi {
+			return maxLo
+		}
+		if !pickHi {
+			// The smallest lower bound among unresolved vertices; the
+			// largest-hi vertex is unresolved, so one exists.
+			v = -1
+			for w := range lo {
+				if lo[w] < hi[w] && (v < 0 || lo[w] < lo[v]) {
+					v = w
+				}
+			}
+		}
+		d = bfs(d, v)
+		e := maxOf(d)
+		if e >= Inf {
+			return Inf
+		}
+		for w, dw := range d {
+			if l := max(dw, e-dw); l > lo[w] {
+				lo[w] = l
+			}
+			if h := e + dw; h < hi[w] {
+				hi[w] = h
+			}
 		}
 	}
-	return d
 }
 
 // UnweightedRadius returns the radius under w* = 1.

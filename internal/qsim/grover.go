@@ -32,22 +32,86 @@ type SearchResult struct {
 // domain and returns the resulting state (Exact engine building block).
 func GroverIterate(domain uint64, marked func(uint64) bool, j int) *State {
 	s := NewUniform(domain)
-	s.groverIterations(domain, marked, j)
+	s.groverIterations(domain, newMarks(domain, marked, true), j)
 	return s
 }
 
-// groverIterations applies j Grover iterations to s in place. Padding
-// states above the domain carry zero amplitude and are never flipped,
-// so predicates defined only on [0, domain) stay safe.
-func (s *State) groverIterations(domain uint64, marked func(uint64) bool, j int) {
+// groverIterations applies j Grover iterations to s in place, flipping
+// the phase of every marked x from m's mask, which the first iteration
+// fills. Padding states above the domain carry zero amplitude and are
+// never flipped, so predicates defined only on [0, domain) stay safe.
+func (s *State) groverIterations(domain uint64, m *marks, j int) {
+	if j > 0 {
+		m.fill()
+	}
 	for it := 0; it < j; it++ {
-		for x := uint64(0); x < domain; x++ {
-			if marked(x) {
+		for x, mx := range m.mask {
+			if mx {
 				s.amp[x] = -s.amp[x]
 			}
 		}
 		s.reflectAboutUniform(domain)
 	}
+}
+
+// marks answers one search's predicate. The marked set is fixed for the
+// whole search, so each element's membership is evaluated once: on the
+// Exact engine the first full sweep, in x order, fills a mask that
+// every later phase flip and verification reads; on the Sampled engine
+// only the count k is kept, so memory stays O(1) in the domain.
+// Elements verified before that sweep are evaluated directly, as
+// without the cache, so the predicate sees the same calls in the same
+// order either way.
+type marks struct {
+	marked  func(uint64) bool
+	mask    []bool // Exact engine: mask[x] = marked(x), once filled
+	filled  bool   // mask holds the whole domain
+	k       uint64 // Sampled engine: the marked count, once counted
+	counted bool
+}
+
+// newMarks returns the cache for a search over domain; withMask says
+// whether it keeps the Exact engine's mask.
+func newMarks(domain uint64, marked func(uint64) bool, withMask bool) *marks {
+	m := &marks{marked: marked}
+	if withMask {
+		m.mask = make([]bool, domain)
+	}
+	return m
+}
+
+// at reports whether x is marked.
+func (m *marks) at(x uint64) bool {
+	if m.filled {
+		return m.mask[x]
+	}
+	return m.marked(x)
+}
+
+// fill evaluates the predicate over the domain into the mask, once.
+func (m *marks) fill() {
+	if m.filled {
+		return
+	}
+	for x := range m.mask {
+		m.mask[x] = m.marked(uint64(x))
+	}
+	m.filled = true
+}
+
+// count returns the number of marked elements of [0, domain), counted
+// once (the simulator stands in for physics; the algorithm itself never
+// uses this number).
+func (m *marks) count(domain uint64) uint64 {
+	if !m.counted {
+		for x := uint64(0); x < domain; x++ {
+			if m.marked(x) {
+				m.k++
+			}
+		}
+		m.counted = true
+	}
+	return m.k
 }
 
 // reflectAboutUniform is s.ReflectAbout(NewUniform(domain)) without
@@ -87,36 +151,24 @@ func SuccessProbability(n, k uint64, j int) float64 {
 	return v * v
 }
 
-// countMarked enumerates the domain (the simulator stands in for physics;
-// the algorithm itself never uses this number).
-func countMarked(domain uint64, marked func(uint64) bool) uint64 {
-	var k uint64
-	for x := uint64(0); x < domain; x++ {
-		if marked(x) {
-			k++
-		}
-	}
-	return k
-}
-
 // runGrover executes j Grover iterations and one measurement, via the
 // chosen engine, returning the measured basis state. The Exact engine
 // runs on s, a state over domain that it resets to uniform first; the
 // Sampled engine ignores s.
-func runGrover(e Engine, s *State, domain uint64, marked func(uint64) bool, j int, rng *rand.Rand) uint64 {
+func runGrover(e Engine, s *State, domain uint64, m *marks, j int, rng *rand.Rand) uint64 {
 	if e == Exact {
 		s.setUniform(domain)
-		s.groverIterations(domain, marked, j)
+		s.groverIterations(domain, m, j)
 		// Restrict measurement to the domain (padding amplitudes are 0).
 		return s.Measure(rng)
 	}
-	k := countMarked(domain, marked)
+	k := m.count(domain)
 	p := SuccessProbability(domain, k, j)
 	if rng.Float64() < p {
 		// Uniform over marked items.
 		idx := rng.Int63n(int64(k))
 		for x := uint64(0); x < domain; x++ {
-			if marked(x) {
+			if m.marked(x) {
 				if idx == 0 {
 					return x
 				}
@@ -127,10 +179,13 @@ func runGrover(e Engine, s *State, domain uint64, marked func(uint64) bool, j in
 	if k == domain {
 		return uint64(rng.Int63n(int64(domain)))
 	}
-	// Uniform over unmarked items.
+	// Uniform over unmarked items; with none marked, the idx-th is idx.
 	idx := rng.Int63n(int64(domain - k))
+	if k == 0 {
+		return uint64(idx)
+	}
 	for x := uint64(0); x < domain; x++ {
-		if !marked(x) {
+		if !m.marked(x) {
 			if idx == 0 {
 				return x
 			}
@@ -154,18 +209,20 @@ func BBHT(e Engine, domain uint64, marked func(uint64) bool, rng *rand.Rand) Sea
 	// counts round to zero) exceeds ~9√N, a marked element would have been
 	// found with overwhelming probability; conclude none exists.
 	budget := int64(9*sqrtN) + 16
-	// One state vector serves every Grover run of the search.
+	// One state vector and one marks cache serve every Grover run of
+	// the search.
 	var s *State
 	if e == Exact {
 		s = NewUniform(domain)
 	}
+	mk := newMarks(domain, marked, e == Exact)
 	for res.Queries <= budget {
 		j := rng.Intn(int(m))
-		x := runGrover(e, s, domain, marked, j, rng)
+		x := runGrover(e, s, domain, mk, j, rng)
 		res.Rounds += int64(j)
 		res.Measures++
 		res.Queries += int64(j) + 1 // +1: classical verification of x
-		if marked(x) {
+		if mk.at(x) {
 			res.Found = true
 			res.Outcome = x
 			return res

@@ -214,10 +214,11 @@ func TestEnginesAgreeOnSuccessRate(t *testing.T) {
 	for _, e := range []Engine{Exact, Sampled} {
 		rng := rand.New(rand.NewSource(7))
 		s := NewUniform(domain)
+		mk := newMarks(domain, marked, e == Exact)
 		hits := 0
 		const trials = 3000
 		for i := 0; i < trials; i++ {
-			if marked(runGrover(e, s, domain, marked, j, rng)) {
+			if marked(runGrover(e, s, domain, mk, j, rng)) {
 				hits++
 			}
 		}
@@ -429,7 +430,7 @@ func TestGroverIterateMatchesAxisReflection(t *testing.T) {
 			for _, j := range []int{0, 1, 2, 3, 5, 9} {
 				got := GroverIterate(domain, marked, j)
 				reused.setUniform(domain)
-				reused.groverIterations(domain, marked, j)
+				reused.groverIterations(domain, newMarks(domain, marked, true), j)
 				want := NewUniform(domain)
 				axis := NewUniform(domain)
 				for it := 0; it < j; it++ {
@@ -454,9 +455,10 @@ func TestGroverIterateMatchesAxisReflection(t *testing.T) {
 }
 
 // TestBBHTAllocGuard is an allocation-regression guard of the CI
-// workflow: an Exact-engine BBHT keeps one state vector across its
-// Grover runs, so it allocates a constant number of objects (the State
-// header and its amplitudes) however many runs it makes.
+// workflow: an Exact-engine BBHT keeps one state vector and one marked
+// mask across its Grover runs, so it allocates a constant number of
+// objects (the amplitudes and the mask; the State header stays on the
+// stack) however many runs it makes.
 func TestBBHTAllocGuard(t *testing.T) {
 	const domain = 256
 	rng := rand.New(rand.NewSource(73))
@@ -477,6 +479,32 @@ func TestBBHTAllocGuard(t *testing.T) {
 		}
 		if allocs > 2 {
 			t.Fatalf("%s: BBHT over domain %d allocates %.1f objects per search (%d runs), ceiling 2", c.name, domain, allocs, runs)
+		}
+	}
+}
+
+// TestBBHTPredicateCallsPerSearch pins how often one BBHT search calls
+// its predicate. The marked set is fixed for the search, so either
+// engine evaluates the domain once: the Exact engine into its mask on
+// the first Grover sweep, the Sampled engine when it counts k. A
+// search over an empty marked set then costs exactly the domain plus
+// one verification per measurement on the Sampled engine (its outcome
+// draw needs no scan when nothing is marked), and at most that on the
+// Exact engine (verifications after the sweep read the mask).
+func TestBBHTPredicateCallsPerSearch(t *testing.T) {
+	const domain = 128
+	rng := rand.New(rand.NewSource(97))
+	for _, e := range []Engine{Exact, Sampled} {
+		for search := 0; search < 5; search++ {
+			calls := 0
+			res := BBHT(e, domain, func(uint64) bool { calls++; return false }, rng)
+			if res.Found || res.Measures < 2 {
+				t.Fatalf("engine %v: found %v after %d runs, want no element after several", e, res.Found, res.Measures)
+			}
+			want := domain + int(res.Measures)
+			if calls > want || (e == Sampled && calls != want) {
+				t.Fatalf("engine %v: %d predicate calls in a search of %d runs, want %d", e, calls, res.Measures, want)
+			}
 		}
 	}
 }
