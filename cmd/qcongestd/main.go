@@ -93,7 +93,6 @@ func main() {
 		dataDir      = flag.String("data-dir", "", "durable store directory (empty = in-memory registry)")
 		warm         = flag.Int("warm", 8, "graphs to pre-warm after a persistent boot (0 disables)")
 		snapEvery    = flag.Int("snapevery", 0, "graph appends between store snapshots (0 = 64, negative disables)")
-		storeCodec   = flag.String("storecodec", "", "store record payload codec: binary or text (empty = binary; either replays the other)")
 		pprofAddr    = flag.String("pprof", "", "net/http/pprof listen address on a separate listener, e.g. 127.0.0.1:6060 (empty disables)")
 		ratePerKey   = flag.Float64("ratelimit", 0, "sustained requests/sec per API key on /v1 endpoints; overflow answers 429 (0 disables)")
 		rateBurst    = flag.Int("rateburst", 0, "token-bucket burst depth per API key (0 = 2x -ratelimit, min 1)")
@@ -123,7 +122,6 @@ func main() {
 		DataDir:         *dataDir,
 		WarmStart:       *warm,
 		SnapshotEvery:   *snapEvery,
-		StoreCodec:      *storeCodec,
 		RatePerKey:      *ratePerKey,
 		RateBurst:       *rateBurst,
 		TenantMaxGraphs: *tenantGraphs,

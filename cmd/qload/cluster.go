@@ -1,398 +1,84 @@
 package main
 
-// The cluster mix: qload as the cluster's parity auditor. It drives a
-// qrouter front door exactly like an application would — uploads
-// through the router, reads through the router — then walks the live
-// topology from /v1/cluster and interrogates every replica DIRECTLY,
-// asserting the replication contract: every graph lives on exactly one
-// shard, and every node of that shard answers byte-identical sketch
-// numerators and exact metrics for it. The timed read phase then
-// hammers the router and fails the run on any 5xx — the zero-read-loss
-// assertion the CI kill/revive smoke leans on.
+// The cluster mix: qload drives a qrouter front door exactly like an
+// application would — uploads through the router, reads through the
+// router — and runs cluster.Audit, which walks the live topology and
+// checks every replica directly. The timed read phase then hammers the
+// router; main fails the run on any 5xx, the zero-read-loss assertion
+// the CI kill/revive smoke leans on.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
-	"os"
-	"reflect"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"qcongest/internal/cluster"
 	"qcongest/internal/graph"
 	"qcongest/internal/svc"
 )
 
-// clusterReport is the cluster section of a -mix cluster report.
-type clusterReport struct {
-	// Shards and Nodes describe the topology the router disclosed.
-	Shards int `json:"shards"`
-	Nodes  int `json:"nodes"`
-	// Epoch is the router's topology epoch — 0 on a cluster that never
-	// promoted, the leadership generation after self-healing.
-	Epoch uint64 `json:"epoch"`
-	// ChainShardsVerified counts shards whose live replicas converged
-	// to one identical (seq, chain) position — the digest-chain receipt
-	// that no acknowledged write was lost or reordered anywhere.
-	ChainShardsVerified int `json:"chainShardsVerified"`
-	// Graphs is the distinct workload graphs uploaded through the router.
-	Graphs int `json:"graphs"`
-	// ParityChecks counts digest×replica comparisons that were verified
-	// byte-identical against the router's own answers.
-	ParityChecks int `json:"parityChecks"`
-	// DeadSkipped counts digest×replica comparisons skipped because the
-	// router reports the replica down (expected mid-fault-injection: a
-	// killed follower is not a parity violation, its survivors are the
-	// ones that must still agree).
-	DeadSkipped int `json:"deadSkipped"`
-	// LaggingSkipped counts digest×replica comparisons skipped because
-	// the replica was still catching up when the parity deadline hit
-	// (always 0 on a healthy cluster; any skip fails the run).
-	LaggingSkipped int `json:"laggingSkipped"`
-}
-
-// clusterConfig carries the flag surface of one cluster-mix run.
-type clusterConfig struct {
-	addr     string
-	graphs   int
-	n        int
-	requests int
-	conc     int
-	seed     int64
-	out      string
-	apiKey   string
-	expectID bool
-}
-
-func runCluster(cfg clusterConfig) {
-	client := svc.NewClient(cfg.addr)
-	client.APIKey = cfg.apiKey
-	client.RequireRequestID = cfg.expectID
-	waitHealthy(client)
-
-	if cfg.n < 8 {
-		log.Fatalf("qload: cluster mix needs -n >= 8, got %d", cfg.n)
+// clusterMix uploads graphs distinct workload graphs through the
+// router, audits replica parity, and returns the read-phase generator
+// with the audit report.
+func clusterMix(client *svc.Client, graphs, n int, seed int64) (func(i int64) error, *cluster.AuditReport) {
+	if n < 8 || graphs < 1 {
+		log.Fatalf("qload: cluster mix needs -n >= 8 and -graphs >= 1, got %d and %d", n, graphs)
 	}
 	skReq := svc.SketchRequest{Sources: []int{0, 1, 2, 3}, L: 8, K: 4}
-
-	// --- Upload phase: distinct graphs through the router. ---
-
-	rng := rand.New(rand.NewSource(cfg.seed))
-	type workload struct {
-		digest   string
-		diameter int64
-		sketch   svc.SketchResponse
-	}
-	graphsByDigest := map[string]*graph.Graph{}
-	var works []*workload
-	for i := 0; i < cfg.graphs; i++ {
-		g := graph.RandomWeights(graph.RandomConnected(cfg.n, 4*cfg.n, rng), 16, rng)
+	rng := rand.New(rand.NewSource(seed))
+	sketches := map[string]svc.SketchRequest{}
+	var digests []string
+	var first *graph.Graph
+	for i := 0; i < graphs; i++ {
+		g := graph.RandomWeights(graph.RandomConnected(n, 4*n, rng), 16, rng)
 		up, err := client.UploadWire(g, true)
 		if err != nil {
 			log.Fatalf("qload: cluster upload %d: %v", i, err)
 		}
-		if _, dup := graphsByDigest[up.Digest]; dup {
+		if _, dup := sketches[up.Digest]; dup {
 			continue // the rng collided; fewer distinct graphs is fine
 		}
-		graphsByDigest[up.Digest] = g
-		works = append(works, &workload{digest: up.Digest})
+		if first == nil {
+			first = g
+		}
+		sketches[up.Digest] = skReq
+		digests = append(digests, up.Digest)
 	}
 	// Idempotency must hold through the router: the re-upload routes to
 	// the same shard and answers Created=false.
-	for d, g := range graphsByDigest {
-		up, err := client.Upload(g)
-		if err != nil {
-			log.Fatalf("qload: cluster re-upload: %v", err)
-		}
-		if up.Created || up.Digest != d {
-			log.Fatalf("qload: FAILED — re-upload of %s through the router answered created=%v digest=%s", d, up.Created, up.Digest)
-		}
-		break
+	if up, err := client.Upload(first); err != nil {
+		log.Fatalf("qload: cluster re-upload: %v", err)
+	} else if up.Created || up.Digest != digests[0] {
+		log.Fatalf("qload: FAILED — re-upload of %s through the router answered created=%v digest=%s", digests[0], up.Created, up.Digest)
 	}
 
-	// Reference answers, computed once through the router.
-	for _, wk := range works {
-		var err error
-		if wk.diameter, err = client.Diameter(wk.digest); err != nil {
-			log.Fatalf("qload: cluster reference diameter(%s): %v", wk.digest, err)
-		}
-		if wk.sketch, err = client.Sketch(wk.digest, skReq); err != nil {
-			log.Fatalf("qload: cluster reference sketch(%s): %v", wk.digest, err)
-		}
-	}
-
-	// --- Parity phase: interrogate every replica directly. ---
-
-	var info cluster.ClusterInfo
-	resp, err := http.Get(client.BaseURL + "/v1/cluster")
+	rep, err := cluster.Audit(client, sketches)
 	if err != nil {
-		log.Fatalf("qload: fetching /v1/cluster: %v", err)
+		log.Fatalf("qload: FAILED — replica audit: %v", err)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&info)
-	resp.Body.Close()
-	if err != nil {
-		log.Fatalf("qload: decoding /v1/cluster: %v", err)
-	}
-	crep := clusterReport{Shards: len(info.Shards), Graphs: len(works), Epoch: info.Epoch}
-	for _, s := range info.Shards {
-		crep.Nodes += len(s.Nodes)
-	}
+	fmt.Printf("qload cluster: parity verified — %d graphs × every replica of %d shards (%d checks, all byte-identical, %d dead skipped)\n",
+		rep.Graphs, rep.Shards, rep.ParityChecks, rep.DeadSkipped)
+	fmt.Printf("qload cluster: chain parity verified on %d shards (%d in-memory, topology epoch %d)\n",
+		rep.ChainShardsVerified, rep.InMemoryShards, rep.Epoch)
 
-	// Ownership: each digest must be on exactly one shard's leader.
-	owners := map[string]int{}
-	for si, s := range info.Shards {
-		lc := svc.NewClient(s.Leader)
-		lc.APIKey = cfg.apiKey
-		infos, err := lc.Graphs()
-		if err != nil {
-			log.Fatalf("qload: listing shard %s leader: %v", s.Name, err)
-		}
-		for _, gi := range infos {
-			if _, ours := graphsByDigest[gi.Digest]; !ours {
-				continue // pre-existing graphs are not part of this audit
-			}
-			if prev, dup := owners[gi.Digest]; dup {
-				log.Fatalf("qload: FAILED — digest %s is on shards %s and %s", gi.Digest, info.Shards[prev].Name, s.Name)
-			}
-			owners[gi.Digest] = si
+	// The router's answers, fixed once; every timed diameter read must
+	// repeat them.
+	diameters := make([]int64, len(digests))
+	for i, d := range digests {
+		if diameters[i], err = client.Diameter(d); err != nil {
+			log.Fatalf("qload: cluster reference diameter(%s): %v", d, err)
 		}
 	}
-	if len(owners) != len(works) {
-		log.Fatalf("qload: FAILED — %d of %d uploaded graphs are on some shard leader", len(owners), len(works))
-	}
-
-	// nodeAlive re-reads the router's live view of one node: a replica
-	// that dies (or is killed by the fault-injection smoke) mid-audit is
-	// skipped, not failed — the survivors are the ones that must agree.
-	nodeAlive := func(url string) bool {
-		var fresh cluster.ClusterInfo
-		resp, err := http.Get(client.BaseURL + "/v1/cluster")
-		if err != nil {
-			return true // the router itself is the run's failure domain
+	return func(i int64) error {
+		k := int(i) % len(digests)
+		if i%4 == 3 {
+			_, err := client.Sketch(digests[k], skReq)
+			return err
 		}
-		err = json.NewDecoder(resp.Body).Decode(&fresh)
-		resp.Body.Close()
-		if err != nil {
-			return true
+		dia, err := client.Diameter(digests[k])
+		if err == nil && dia != diameters[k] {
+			log.Fatalf("qload: FAILED — read %d of %s answered diameter %d, expected %d", i, digests[k], dia, diameters[k])
 		}
-		for _, s := range fresh.Shards {
-			for _, nd := range s.Nodes {
-				if nd.URL == url {
-					return nd.Alive
-				}
-			}
-		}
-		return true
-	}
-
-	// Every node of the owning shard — leader and followers alike — must
-	// answer the router's own answers byte for byte. Followers get a
-	// catch-up deadline; a replica still lagging past it fails the run.
-	deadline := time.Now().Add(30 * time.Second)
-	for _, wk := range works {
-		shard := info.Shards[owners[wk.digest]]
-		for _, nd := range shard.Nodes {
-			nc := svc.NewClient(nd.URL)
-			nc.APIKey = cfg.apiKey
-			for {
-				dia, derr := nc.Diameter(wk.digest)
-				sk, serr := nc.Sketch(wk.digest, skReq)
-				if derr == nil && serr == nil {
-					if dia != wk.diameter {
-						log.Fatalf("qload: FAILED — %s %s answers diameter %d for %s, router answered %d",
-							nd.Role, nd.URL, dia, wk.digest, wk.diameter)
-					}
-					if sk.Den != wk.sketch.Den || !reflect.DeepEqual(sk.Eccentricities, wk.sketch.Eccentricities) {
-						log.Fatalf("qload: FAILED — %s %s answers different sketch numerators for %s than the router",
-							nd.Role, nd.URL, wk.digest)
-					}
-					crep.ParityChecks++
-					break
-				}
-				// Any error — a 404 from a follower still applying the
-				// record, or a transport error from a node mid-restart —
-				// retries until the deadline, unless the router itself
-				// reports the node down, in which case the fault-injection
-				// smoke killed it and the survivors carry the audit.
-				if !nodeAlive(nd.URL) {
-					crep.DeadSkipped++
-					log.Printf("qload: skipping dead replica %s for %s (router reports it down)", nd.URL, wk.digest)
-					break
-				}
-				if time.Now().After(deadline) {
-					crep.LaggingSkipped++
-					log.Printf("qload: replica %s never served %s (diameter err: %v, sketch err: %v)", nd.URL, wk.digest, derr, serr)
-					break
-				}
-				time.Sleep(50 * time.Millisecond)
-			}
-		}
-	}
-	if crep.LaggingSkipped > 0 {
-		log.Fatalf("qload: FAILED — %d digest×replica parity checks never converged", crep.LaggingSkipped)
-	}
-	fmt.Printf("qload cluster: parity verified — %d graphs × every replica of %d shards (%d checks, all byte-identical)\n",
-		crep.Graphs, crep.Shards, crep.ParityChecks)
-
-	// --- Chain parity: every live replica of a shard must converge to
-	// one identical (seq, chain) position. The chain is a running fold
-	// over every committed (seq, digest) pair, so equality here is a
-	// receipt that no acknowledged write was lost or reordered — even
-	// across a leader kill, auto-promotion, and old-leader re-sync. ---
-
-	nodeHealth := func(url string) (svc.HealthResponse, error) {
-		var h svc.HealthResponse
-		resp, err := http.Get(url + "/healthz")
-		if err != nil {
-			return h, err
-		}
-		defer resp.Body.Close()
-		return h, json.NewDecoder(resp.Body).Decode(&h)
-	}
-	chainDeadline := time.Now().Add(30 * time.Second)
-	for _, s := range info.Shards {
-		for {
-			positions := map[string]string{}
-			uniq := map[string]bool{}
-			durable := true
-			for _, nd := range s.Nodes {
-				if !nodeAlive(nd.URL) {
-					continue // killed mid-smoke: the survivors carry the audit
-				}
-				h, err := nodeHealth(nd.URL)
-				if err != nil {
-					durable = false // mid-restart; next round retries
-					break
-				}
-				if h.Replication == nil {
-					durable = false // in-memory node: no chain to audit
-					break
-				}
-				positions[nd.URL] = fmt.Sprintf("seq=%d chain=%s", h.Replication.Seq, h.Replication.Chain)
-				uniq[positions[nd.URL]] = true
-			}
-			if durable && len(uniq) == 1 {
-				crep.ChainShardsVerified++
-				break
-			}
-			if !durable && time.Now().After(chainDeadline) {
-				break // in-memory shard (or one that never settled): not audited
-			}
-			if time.Now().After(chainDeadline) {
-				log.Fatalf("qload: FAILED — shard %s replicas never converged to one (seq, chain) position: %v", s.Name, positions)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	if crep.ChainShardsVerified > 0 {
-		fmt.Printf("qload cluster: chain parity verified — %d shards at one (seq, chain) position each (topology epoch %d)\n",
-			crep.ChainShardsVerified, crep.Epoch)
-	}
-
-	// --- Timed read phase through the router: any 5xx fails the run. ---
-
-	var (
-		next                     atomic.Int64
-		err4, err5, sat, limited atomic.Int64
-	)
-	latencies := make([][]time.Duration, cfg.conc)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(cfg.requests) {
-					return
-				}
-				wk := works[int(i)%len(works)]
-				t0 := time.Now()
-				var err error
-				if i%4 == 3 {
-					_, err = client.Sketch(wk.digest, skReq)
-				} else {
-					var dia int64
-					dia, err = client.Diameter(wk.digest)
-					if err == nil && dia != wk.diameter {
-						log.Fatalf("qload: FAILED — read %d of %s answered diameter %d, expected %d", i, wk.digest, dia, wk.diameter)
-					}
-				}
-				latencies[w] = append(latencies[w], time.Since(t0))
-				var se *svc.StatusError
-				if errors.As(err, &se) {
-					switch {
-					case se.Code == 503:
-						sat.Add(1)
-					case se.Code == 429:
-						limited.Add(1)
-					case se.Code >= 500:
-						err5.Add(1)
-					default:
-						err4.Add(1)
-					}
-				} else if err != nil {
-					err5.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var all []time.Duration
-	for _, ls := range latencies {
-		all = append(all, ls...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	quantile := func(q float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		return float64(all[int(q*float64(len(all)-1))]) / float64(time.Millisecond)
-	}
-
-	rep := report{
-		Mix:             "cluster",
-		Concurrency:     cfg.conc,
-		Requests:        int64(len(all)),
-		Errors4xx:       err4.Load(),
-		Errors5xx:       err5.Load(),
-		Saturated503:    sat.Load(),
-		RateLimited429:  limited.Load(),
-		DurationSeconds: elapsed.Seconds(),
-		QPS:             float64(len(all)) / elapsed.Seconds(),
-		P50Ms:           quantile(0.50),
-		P99Ms:           quantile(0.99),
-		Cluster:         &crep,
-	}
-	fmt.Printf("qload cluster: %d reads in %.2fs — %.1f qps, p50 %.3fms, p99 %.3fms (4xx=%d 5xx=%d 503=%d 429=%d)\n",
-		rep.Requests, rep.DurationSeconds, rep.QPS, rep.P50Ms, rep.P99Ms,
-		rep.Errors4xx, rep.Errors5xx, rep.Saturated503, rep.RateLimited429)
-
-	if cfg.out != "" {
-		raw, _ := json.MarshalIndent(rep, "", "  ")
-		if err := os.WriteFile(cfg.out, append(raw, '\n'), 0o644); err != nil {
-			log.Fatalf("qload: writing %s: %v", cfg.out, err)
-		}
-	}
-	// Reads through the router must never surface a 5xx: that is the
-	// whole point of replica failover. (503 write sheds do not appear
-	// here — the read phase is reads only.)
-	if rep.Errors5xx > 0 {
-		log.Fatalf("qload: FAILED — %d cluster reads drew 5xx", rep.Errors5xx)
-	}
-	if bad := rep.Errors4xx + rep.Saturated503; bad > 0 {
-		log.Fatalf("qload: FAILED — %d cluster reads did not succeed (4xx=%d 503=%d)", bad, rep.Errors4xx, rep.Saturated503)
-	}
-	if rep.Requests == 0 {
-		log.Fatalf("qload: FAILED — no request succeeded")
-	}
+		return err
+	}, &rep
 }

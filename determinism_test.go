@@ -325,9 +325,9 @@ func TestDeterminismCodecParity(t *testing.T) {
 // contract across a live replication cluster. One shard — a durable
 // leader plus a durable and an in-memory follower, each tailing the
 // leader's log over /v1/replicate — behind a digest-routing proxy. Every
-// replicated graph must
-// answer the same digest, the same exact diameter, and byte-identical
-// sketch numerators from every node and through the router.
+// replicated graph must answer the same digest through the router, and
+// cluster.Audit checks that every node answers the router's exact
+// diameter and byte-identical sketch numerators.
 func TestDeterminismClusterReplicaParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster parity is not a -short test")
@@ -385,12 +385,6 @@ func TestDeterminismClusterReplicaParity(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	nodes := map[string]*svc.Client{
-		"leader":             svc.NewClient(lts.URL),
-		"durable-follower":   svc.NewClient(dts.URL),
-		"in-memory-follower": svc.NewClient(its.URL),
-	}
-
 	// The corpus: kernel-adversarial shapes small enough to stay cheap
 	// under CI's -count=3.
 	rng := rand.New(rand.NewSource(77))
@@ -412,59 +406,19 @@ func TestDeterminismClusterReplicaParity(t *testing.T) {
 		digests = append(digests, up.Digest)
 	}
 
-	// Both followers must converge on the full replicated set.
-	for name, c := range nodes {
-		name, c := name, c
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			infos, err := c.Graphs()
-			if err == nil && len(infos) == len(corpus) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never converged on %d graphs (last: %d, %v)", name, len(corpus), len(infos), err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
+	// Every node — the durable leader and both followers — must answer
+	// the router's diameter and sketch numerators for every graph, and
+	// the shard must converge on one (seq, chain) position.
+	sketches := map[string]svc.SketchRequest{}
 	for gi, d := range digests {
 		n := corpus[gi].N()
-		refDia, err := nodes["leader"].Diameter(d)
-		if err != nil {
-			t.Fatalf("leader diameter(%s): %v", d, err)
-		}
-		req := svc.SketchRequest{
-			Sources: []int{0, 1 % n, (n / 2) % n},
-			L:       n / 2,
-			K:       2,
-		}
-		ref, err := nodes["leader"].Sketch(d, req)
-		if err != nil {
-			t.Fatalf("leader sketch(%s): %v", d, err)
-		}
-		for name, c := range nodes {
-			got, err := c.Sketch(d, req)
-			if err != nil {
-				t.Fatalf("%s sketch(%s): %v", name, d, err)
-			}
-			if got.Den != ref.Den || !reflect.DeepEqual(got.Eccentricities, ref.Eccentricities) {
-				t.Errorf("graph %d: %s sketch numerators diverge from the leader's", gi, name)
-			}
-			dia, err := c.Diameter(d)
-			if err != nil {
-				t.Fatalf("%s diameter(%s): %v", name, d, err)
-			}
-			if dia != refDia {
-				t.Errorf("graph %d: %s answers diameter %d, leader %d", gi, name, dia, refDia)
-			}
-		}
-		via, err := rc.Sketch(d, req)
-		if err != nil {
-			t.Fatalf("router sketch(%s): %v", d, err)
-		}
-		if via.Den != ref.Den || !reflect.DeepEqual(via.Eccentricities, ref.Eccentricities) {
-			t.Errorf("graph %d: the router's answer diverges from the leader's", gi)
-		}
+		sketches[d] = svc.SketchRequest{Sources: []int{0, 1 % n, (n / 2) % n}, L: n / 2, K: 2}
+	}
+	rep, err := cluster.Audit(rc, sketches)
+	if err != nil {
+		t.Fatalf("replica audit: %v (report %+v)", err, rep)
+	}
+	if rep.ParityChecks != 3*len(corpus) || rep.DeadSkipped != 0 || rep.ChainShardsVerified != 1 {
+		t.Fatalf("replica audit %+v: want %d parity checks, none skipped, 1 chain-verified shard", rep, 3*len(corpus))
 	}
 }

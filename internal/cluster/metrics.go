@@ -7,14 +7,10 @@ package cluster
 // whole cluster never collides with the daemons' qcongest_ families.
 
 import (
-	"bytes"
-	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
-	"qcongest/internal/svc"
+	"qcongest/internal/prom"
 )
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -22,7 +18,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	if svc.WantsPromText(r) {
+	if prom.WantsText(r) {
 		rt.writePromText(w)
 		return
 	}
@@ -75,26 +71,6 @@ func (rt *Router) snapshot() RouterMetrics {
 	return m
 }
 
-var promEscape = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-func promLabel(name, value string) string {
-	return "{" + name + `="` + promEscape.Replace(value) + `"}`
-}
-
-type promBuf struct{ bytes.Buffer }
-
-func (p *promBuf) family(name, typ, help string) {
-	fmt.Fprintf(p, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (p *promBuf) sample(name, labels string, v float64) {
-	p.WriteString(name)
-	p.WriteString(labels)
-	p.WriteByte(' ')
-	p.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	p.WriteByte('\n')
-}
-
 func boolGauge(b bool) float64 {
 	if b {
 		return 1
@@ -104,71 +80,69 @@ func boolGauge(b bool) float64 {
 
 func (rt *Router) writePromText(w http.ResponseWriter) {
 	snap := rt.snapshot()
-	var p promBuf
+	var p prom.Buf
 
-	p.family("qrouter_uptime_seconds", "gauge", "Seconds since the router started.")
-	p.sample("qrouter_uptime_seconds", "", snap.UptimeSeconds)
+	p.Family("qrouter_uptime_seconds", "gauge", "Seconds since the router started.")
+	p.Sample("qrouter_uptime_seconds", "", snap.UptimeSeconds)
 
-	p.family("qrouter_topology_epoch", "gauge", "Leadership generation of the live topology.")
-	p.sample("qrouter_topology_epoch", "", float64(snap.Epoch))
-	p.family("qrouter_promotions_total", "counter", "Followers auto-promoted to shard leader.")
-	p.sample("qrouter_promotions_total", "", float64(snap.Promotions))
-	p.family("qrouter_demotions_total", "counter", "Stale leaders demoted back to followers.")
-	p.sample("qrouter_demotions_total", "", float64(snap.Demotions))
-	p.family("qrouter_adoptions_total", "counter", "Higher-epoch leaders adopted into the topology.")
-	p.sample("qrouter_adoptions_total", "", float64(snap.Adoptions))
-	p.family("qrouter_promote_fails_total", "counter", "Promotion attempts that did not end in a 200.")
-	p.sample("qrouter_promote_fails_total", "", float64(snap.PromoteFails))
-	p.family("qrouter_last_promotion_ms", "gauge", "Wall-clock cost of the most recent promotion, election to ack.")
-	p.sample("qrouter_last_promotion_ms", "", float64(snap.LastPromotionMs))
+	p.Family("qrouter_topology_epoch", "gauge", "Leadership generation of the live topology.")
+	p.Sample("qrouter_topology_epoch", "", float64(snap.Epoch))
+	p.Family("qrouter_promotions_total", "counter", "Followers auto-promoted to shard leader.")
+	p.Sample("qrouter_promotions_total", "", float64(snap.Promotions))
+	p.Family("qrouter_demotions_total", "counter", "Stale leaders demoted back to followers.")
+	p.Sample("qrouter_demotions_total", "", float64(snap.Demotions))
+	p.Family("qrouter_adoptions_total", "counter", "Higher-epoch leaders adopted into the topology.")
+	p.Sample("qrouter_adoptions_total", "", float64(snap.Adoptions))
+	p.Family("qrouter_promote_fails_total", "counter", "Promotion attempts that did not end in a 200.")
+	p.Sample("qrouter_promote_fails_total", "", float64(snap.PromoteFails))
+	p.Family("qrouter_last_promotion_ms", "gauge", "Wall-clock cost of the most recent promotion, election to ack.")
+	p.Sample("qrouter_last_promotion_ms", "", float64(snap.LastPromotionMs))
 
-	p.family("qrouter_shard_writes_total", "counter", "Uploads routed to the shard leader.")
+	p.Family("qrouter_shard_writes_total", "counter", "Uploads routed to the shard leader.")
 	for _, s := range snap.Shards {
-		p.sample("qrouter_shard_writes_total", promLabel("shard", s.Name), float64(s.Writes))
+		p.Sample("qrouter_shard_writes_total", prom.Labels("shard", s.Name), float64(s.Writes))
 	}
-	p.family("qrouter_shard_write_sheds_total", "counter", "Uploads shed with 503 because the shard leader was down.")
+	p.Family("qrouter_shard_write_sheds_total", "counter", "Uploads shed with 503 because the shard leader was down.")
 	for _, s := range snap.Shards {
-		p.sample("qrouter_shard_write_sheds_total", promLabel("shard", s.Name), float64(s.WriteSheds))
+		p.Sample("qrouter_shard_write_sheds_total", prom.Labels("shard", s.Name), float64(s.WriteSheds))
 	}
-	p.family("qrouter_shard_reads_total", "counter", "Read requests routed into the shard.")
+	p.Family("qrouter_shard_reads_total", "counter", "Read requests routed into the shard.")
 	for _, s := range snap.Shards {
-		p.sample("qrouter_shard_reads_total", promLabel("shard", s.Name), float64(s.Reads))
+		p.Sample("qrouter_shard_reads_total", prom.Labels("shard", s.Name), float64(s.Reads))
 	}
-	p.family("qrouter_shard_read_failovers_total", "counter", "Reads that had to try more than one node.")
+	p.Family("qrouter_shard_read_failovers_total", "counter", "Reads that had to try more than one node.")
 	for _, s := range snap.Shards {
-		p.sample("qrouter_shard_read_failovers_total", promLabel("shard", s.Name), float64(s.ReadFailovers))
+		p.Sample("qrouter_shard_read_failovers_total", prom.Labels("shard", s.Name), float64(s.ReadFailovers))
 	}
-	p.family("qrouter_shard_read_failures_total", "counter", "Reads that exhausted every node of the shard.")
+	p.Family("qrouter_shard_read_failures_total", "counter", "Reads that exhausted every node of the shard.")
 	for _, s := range snap.Shards {
-		p.sample("qrouter_shard_read_failures_total", promLabel("shard", s.Name), float64(s.ReadFailures))
-	}
-
-	p.family("qrouter_peer_forwards_total", "counter", "Requests proxied to the daemon.")
-	for _, pe := range snap.Peers {
-		p.sample("qrouter_peer_forwards_total", promLabel("peer", pe.URL), float64(pe.Forwards))
-	}
-	p.family("qrouter_peer_errors_total", "counter", "Proxied requests that failed (transport or 5xx).")
-	for _, pe := range snap.Peers {
-		p.sample("qrouter_peer_errors_total", promLabel("peer", pe.URL), float64(pe.Errors))
-	}
-	p.family("qrouter_peer_probes_total", "counter", "Health probes sent to the daemon.")
-	for _, pe := range snap.Peers {
-		p.sample("qrouter_peer_probes_total", promLabel("peer", pe.URL), float64(pe.Probes))
-	}
-	p.family("qrouter_peer_probe_fails_total", "counter", "Health probes that did not answer 200.")
-	for _, pe := range snap.Peers {
-		p.sample("qrouter_peer_probe_fails_total", promLabel("peer", pe.URL), float64(pe.ProbeFails))
-	}
-	p.family("qrouter_peer_ready", "gauge", "1 when the daemon's last probe answered 200.")
-	for _, pe := range snap.Peers {
-		p.sample("qrouter_peer_ready", promLabel("peer", pe.URL), boolGauge(pe.Ready))
-	}
-	p.family("qrouter_peer_alive", "gauge", "1 when the daemon's last probe got any HTTP answer.")
-	for _, pe := range snap.Peers {
-		p.sample("qrouter_peer_alive", promLabel("peer", pe.URL), boolGauge(pe.Alive))
+		p.Sample("qrouter_shard_read_failures_total", prom.Labels("shard", s.Name), float64(s.ReadFailures))
 	}
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(p.Bytes())
+	p.Family("qrouter_peer_forwards_total", "counter", "Requests proxied to the daemon.")
+	for _, pe := range snap.Peers {
+		p.Sample("qrouter_peer_forwards_total", prom.Labels("peer", pe.URL), float64(pe.Forwards))
+	}
+	p.Family("qrouter_peer_errors_total", "counter", "Proxied requests that failed (transport or 5xx).")
+	for _, pe := range snap.Peers {
+		p.Sample("qrouter_peer_errors_total", prom.Labels("peer", pe.URL), float64(pe.Errors))
+	}
+	p.Family("qrouter_peer_probes_total", "counter", "Health probes sent to the daemon.")
+	for _, pe := range snap.Peers {
+		p.Sample("qrouter_peer_probes_total", prom.Labels("peer", pe.URL), float64(pe.Probes))
+	}
+	p.Family("qrouter_peer_probe_fails_total", "counter", "Health probes that did not answer 200.")
+	for _, pe := range snap.Peers {
+		p.Sample("qrouter_peer_probe_fails_total", prom.Labels("peer", pe.URL), float64(pe.ProbeFails))
+	}
+	p.Family("qrouter_peer_ready", "gauge", "1 when the daemon's last probe answered 200.")
+	for _, pe := range snap.Peers {
+		p.Sample("qrouter_peer_ready", prom.Labels("peer", pe.URL), boolGauge(pe.Ready))
+	}
+	p.Family("qrouter_peer_alive", "gauge", "1 when the daemon's last probe got any HTTP answer.")
+	for _, pe := range snap.Peers {
+		p.Sample("qrouter_peer_alive", prom.Labels("peer", pe.URL), boolGauge(pe.Alive))
+	}
+
+	p.Serve(w)
 }

@@ -1,9 +1,9 @@
 package store
 
-// Tests of the PR 8 persistence codec surface: the binary-vs-text
-// record codec option, mixed-codec replay, and the snapshot index
-// footer (zero-copy indexed reads, demotion to the sequential scan on
-// any footer damage, per-record quarantine through the indexed path).
+// Tests of the persistence codec surface: replay of text records that
+// older builds wrote, and the snapshot index footer (zero-copy indexed
+// reads, demotion to the sequential scan on any footer damage,
+// per-record quarantine through the indexed path).
 
 import (
 	"bytes"
@@ -24,43 +24,38 @@ func snapshotFile(t *testing.T, dir string) string {
 	return snaps[0]
 }
 
-// TestStoreCodecMixedReplay boots a text-codec store, commits graphs,
-// then reboots it under the binary default (and vice versa): every
-// record must replay regardless of which codec wrote it, because the
-// payload bytes identify their own wire form.
+// TestStoreCodecMixedReplay opens testdata/textcodec, a data dir written
+// by a build whose store still had a text record codec: a text snapshot
+// of testGraphs[:3] plus a log of testGraphs[3:6] left by a crash. Under
+// the binary-only writer every text record must replay, and a second
+// crash must replay the text snapshot, the text log and the new binary
+// log records together, because the payload bytes identify their own
+// wire form.
 func TestStoreCodecMixedReplay(t *testing.T) {
 	dir := t.TempDir()
-	gs := testGraphs(t, 6)
+	fixture, _ := filepath.Glob(filepath.Join("testdata", "textcodec", "*"))
+	for _, src := range fixture {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(src)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gs := testGraphs(t, 8)
 
-	s, _, _ := mustOpen(t, Options{Dir: dir, Codec: CodecText, SnapshotEvery: -1})
-	for _, g := range gs[:3] {
+	s, recovered, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
+	assertRecovered(t, recovered, gs[:6])
+	for _, g := range gs[6:] {
 		if err := s.AppendGraph(g, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil { // folds a text-codec snapshot
-		t.Fatal(err)
-	}
-
-	// Reboot under the binary default: text snapshot replays, new
-	// appends land binary in the fresh log.
+	s.Crash()
 	s2, recovered, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
-	assertRecovered(t, recovered, gs[:3])
-	for _, g := range gs[3:] {
-		if err := s2.AppendGraph(g, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Crash (no close-time snapshot): the next boot replays the text
-	// snapshot AND the binary log records together.
-	s2.Crash()
-	s3, recovered, _ := mustOpen(t, Options{Dir: dir, Codec: CodecText, SnapshotEvery: -1})
-	defer s3.Close()
+	defer s2.Close()
 	assertRecovered(t, recovered, gs)
-
-	if _, _, _, err := Open(Options{Dir: t.TempDir(), Codec: "gzip"}); err == nil {
-		t.Fatal("unknown codec accepted")
-	}
 }
 
 // TestSnapshotIndexFooter pins the footer layout end to end: a written

@@ -106,7 +106,6 @@ func (s *Store) ReplicationStream(from uint64, w io.Writer) (last, head uint64, 
 		return 0, 0, ErrClosed
 	}
 	head = s.headSeq
-	codec := s.opts.Codec
 	var recs []*graphRec
 	for _, r := range s.graphs {
 		if r.seq > from {
@@ -121,7 +120,7 @@ func (s *Store) ReplicationStream(from uint64, w io.Writer) (last, head uint64, 
 	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 	last = from
 	for _, r := range recs {
-		payload, perr := encodeGraphPayload(r.digest, r.gen, r.g, codec)
+		payload, perr := encodeGraphPayload(r.digest, r.gen, r.g)
 		if perr != nil {
 			return last, head, perr
 		}

@@ -2,9 +2,9 @@ package store
 
 // Record payload codecs and the snapshot reader. A graph payload is one
 // JSON metadata line (digest + optional generator spec) followed by the
-// wire form of the graph — the binary codec by default (Options.Codec),
-// the versioned text edge list for compatibility; the leading bytes
-// disambiguate on replay, so a store can carry a mix. The snapshot file
+// wire form of the graph. Writers emit graph.FormatBinary only; replay
+// also reads the versioned text edge list that older builds wrote, and
+// the leading bytes disambiguate, so a store can carry a mix. The snapshot file
 // is the framed graph records of every resident graph in registration
 // order — the same framing as the log, so one scanner serves both —
 // followed by an index footer that lets replay seek straight to each
@@ -25,16 +25,6 @@ import (
 	"qcongest/internal/graph"
 )
 
-// Snapshot/record codec names (Options.Codec).
-const (
-	// CodecBinary persists graph payloads in graph.FormatBinary — the
-	// default: ~4x smaller records and a varint decode on replay.
-	CodecBinary = "binary"
-	// CodecText persists graph payloads as versioned text edge lists,
-	// readable in a hex dump and by pre-PR 8 builds.
-	CodecText = "text"
-)
-
 // graphMeta is the JSON head line of a graph record payload.
 type graphMeta struct {
 	Digest string          `json:"digest"`
@@ -50,17 +40,12 @@ type touchMeta struct {
 // encodeGraphPayload renders one graph record payload. The digest is
 // stored explicitly (not just recomputed) so replay can distinguish
 // "payload corrupted" from "graph legitimately changed encoding".
-func encodeGraphPayload(digest uint64, gen json.RawMessage, g *graph.Graph, codec string) ([]byte, error) {
+func encodeGraphPayload(digest uint64, gen json.RawMessage, g *graph.Graph) ([]byte, error) {
 	meta, err := json.Marshal(graphMeta{Digest: formatDigest(digest), Gen: gen})
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding graph meta: %w", err)
 	}
-	var wire []byte
-	if codec == CodecText {
-		wire = graph.FormatEdgeListVersioned(g)
-	} else {
-		wire = graph.FormatBinary(g)
-	}
+	wire := graph.FormatBinary(g)
 	payload := make([]byte, 0, len(meta)+1+len(wire))
 	payload = append(payload, meta...)
 	payload = append(payload, '\n')
@@ -87,9 +72,8 @@ func decodeGraphPayload(payload []byte, maxNodes, maxEdges int) (digest uint64, 
 		return 0, nil, nil, err
 	}
 	// The wire form identifies itself: the binary codec's magic starts
-	// with a non-ASCII byte no text edge list can begin with, so mixed
-	// stores (text log records under a binary-default daemon, or the
-	// reverse) replay without any flag.
+	// with a non-ASCII byte no text edge list can begin with, so text
+	// records written by older builds replay next to binary ones.
 	if graph.IsBinary(rest) {
 		g, err = graph.ParseBinaryLimits(rest, maxNodes, maxEdges)
 	} else {
@@ -150,11 +134,11 @@ var snapIndexMagic = [8]byte{'Q', 'C', 'S', 'I', 'D', 'X', '0', '1'}
 // SnapshotSeq is served snapshot records re-framed at their true seqs),
 // then the index footer. Replay still compares log records against the
 // manifest's SnapshotSeq, not the per-record seqs.
-func encodeSnapshot(recs []*graphRec, codec string) ([]byte, error) {
+func encodeSnapshot(recs []*graphRec) ([]byte, error) {
 	var buf bytes.Buffer
 	index := make([]byte, 0, len(recs)*snapIndexEntryLen)
 	for _, r := range recs {
-		payload, err := encodeGraphPayload(r.digest, r.gen, r.g, codec)
+		payload, err := encodeGraphPayload(r.digest, r.gen, r.g)
 		if err != nil {
 			return nil, err
 		}

@@ -77,11 +77,6 @@ type Options struct {
 	// before allocation (0 = unbounded). Pass the serving limits so a
 	// corrupt record cannot balloon recovery memory.
 	MaxNodes, MaxEdges int
-	// Codec selects the wire form of persisted graph payloads:
-	// CodecBinary (the default) or CodecText. Replay always accepts
-	// both — the payload bytes identify their own codec — so flipping
-	// this between boots is safe.
-	Codec string
 }
 
 func (o Options) withDefaults() Options {
@@ -90,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TouchLogEvery == 0 {
 		o.TouchLogEvery = 64
-	}
-	if o.Codec == "" {
-		o.Codec = CodecBinary
 	}
 	return o
 }
@@ -244,9 +236,6 @@ func Open(opts Options) (*Store, []RecoveredGraph, RecoveryStats, error) {
 		return nil, nil, stats, errors.New("store: Options.Dir is required")
 	}
 	opts = opts.withDefaults()
-	if opts.Codec != CodecBinary && opts.Codec != CodecText {
-		return nil, nil, stats, fmt.Errorf("store: unknown codec %q (use %q or %q)", opts.Codec, CodecBinary, CodecText)
-	}
 	start := time.Now()
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, stats, fmt.Errorf("store: creating data dir: %w", err)
@@ -600,7 +589,7 @@ func (s *Store) openActiveLog() error {
 // RecoveredGraph.Gen).
 func (s *Store) AppendGraph(g *graph.Graph, gen json.RawMessage) error {
 	digest := g.Digest()
-	payload, err := encodeGraphPayload(digest, gen, g, s.opts.Codec)
+	payload, err := encodeGraphPayload(digest, gen, g)
 	if err != nil {
 		return err
 	}
@@ -857,7 +846,7 @@ func (s *Store) stageSnapshot() (*snapJob, error) {
 // publishSnapshot writes and atomically renames the snapshot and the
 // manifest. No store mutex is held; the job carries everything needed.
 func (s *Store) publishSnapshot(job *snapJob) error {
-	body, err := encodeSnapshot(job.recs, s.opts.Codec)
+	body, err := encodeSnapshot(job.recs)
 	if err != nil {
 		return err
 	}

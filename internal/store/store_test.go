@@ -311,7 +311,7 @@ func TestStoreQuarantineBadSnapshotGraph(t *testing.T) {
 		if i == 1 {
 			digest ^= 1 // stored digest no longer matches the edges
 		}
-		payload, err := encodeGraphPayload(digest, nil, g, CodecBinary)
+		payload, err := encodeGraphPayload(digest, nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}

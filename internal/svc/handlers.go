@@ -16,6 +16,7 @@ import (
 	"qcongest/internal/baseline"
 	"qcongest/internal/dist"
 	"qcongest/internal/graph"
+	"qcongest/internal/prom"
 	"qcongest/internal/store"
 )
 
@@ -165,7 +166,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	if WantsPromText(r) {
+	if prom.WantsText(r) {
 		s.writePromText(w)
 		return
 	}

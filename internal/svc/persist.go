@@ -48,7 +48,6 @@ func Open(cfg Config) (*Server, error) {
 	st, recovered, stats, err := store.Open(store.Options{
 		Dir:           cfg.DataDir,
 		SnapshotEvery: cfg.SnapshotEvery,
-		Codec:         cfg.StoreCodec,
 		MaxNodes:      cfg.MaxNodes,
 		MaxEdges:      cfg.MaxEdges,
 	})

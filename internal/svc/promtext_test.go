@@ -10,11 +10,14 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"qcongest/internal/cluster"
 	"qcongest/internal/svc"
 )
 
@@ -399,6 +402,77 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	if limited < 1 {
 		t.Fatalf("qcongest_key_requests_total{key=\"limited-key\",result=\"limited\"} = %v after overdriving the bucket", limited)
+	}
+}
+
+// TestRouterPrometheusExposition runs the router's scrape through the
+// same strict parser: one router over one in-memory daemon, after an
+// upload and a read through the router.
+func TestRouterPrometheusExposition(t *testing.T) {
+	base, _ := newRawService(t, svc.Config{})
+	topo, err := cluster.ParseTopology(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := cluster.NewRouter(cluster.Config{Topology: topo, ProbeEvery: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rts := httptest.NewServer(rt)
+	t.Cleanup(rts.Close)
+	rc := svc.NewClient(rts.URL)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if h, err := rc.Health(); err == nil && h.Status == "ok" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("router never reported the shard ready")
+		}
+	}
+	up, err := rc.Upload(workload(t, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Diameter(up.Digest); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, body := scrape(t, rts.URL, "/metrics?format=prometheus", nil)
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") || !strings.Contains(ct, "version=0.0.4") {
+		t.Fatalf("router scrape Content-Type = %q, want text/plain version=0.0.4", ct)
+	}
+	families := parsePromText(t, body)
+	for name, typ := range map[string]string{
+		"qrouter_uptime_seconds":             "gauge",
+		"qrouter_topology_epoch":             "gauge",
+		"qrouter_promotions_total":           "counter",
+		"qrouter_demotions_total":            "counter",
+		"qrouter_adoptions_total":            "counter",
+		"qrouter_promote_fails_total":        "counter",
+		"qrouter_last_promotion_ms":          "gauge",
+		"qrouter_shard_writes_total":         "counter",
+		"qrouter_shard_write_sheds_total":    "counter",
+		"qrouter_shard_reads_total":          "counter",
+		"qrouter_shard_read_failovers_total": "counter",
+		"qrouter_shard_read_failures_total":  "counter",
+		"qrouter_peer_forwards_total":        "counter",
+		"qrouter_peer_errors_total":          "counter",
+		"qrouter_peer_probes_total":          "counter",
+		"qrouter_peer_probe_fails_total":     "counter",
+		"qrouter_peer_ready":                 "gauge",
+		"qrouter_peer_alive":                 "gauge",
+	} {
+		f := families[name]
+		if f == nil || f.typ != typ || f.help == "" || len(f.samples) == 0 {
+			t.Fatalf("family %s: got %+v, want type %s with HELP and samples", name, f, typ)
+		}
+	}
+	if s := families["qrouter_shard_writes_total"].samples[0]; s.labels["shard"] != topo.Shards[0].Name || s.value != 1 {
+		t.Fatalf("qrouter_shard_writes_total after one upload: %+v", s)
+	}
+	if s := families["qrouter_peer_ready"].samples[0]; s.labels["peer"] != base || s.value != 1 {
+		t.Fatalf("qrouter_peer_ready for the live daemon: %+v", s)
 	}
 }
 

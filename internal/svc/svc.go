@@ -97,11 +97,6 @@ type Config struct {
 	// appends (0 = store default 64, negative disables; ignored without
 	// DataDir).
 	SnapshotEvery int
-	// StoreCodec selects the store's record payload codec:
-	// store.CodecBinary (the default when empty) or store.CodecText.
-	// Either codec replays records written by the other, so this only
-	// governs new writes (ignored without DataDir).
-	StoreCodec string
 	// RatePerKey, when > 0, enforces a per-API-key token bucket on
 	// every /v1 endpoint: sustained RatePerKey requests/sec with
 	// RateBurst depth, overflow answered 429 with Retry-After. Keys
