@@ -325,7 +325,7 @@ func ingestMix(client *svc.Client, codecs []string, edges int, seed int64, expec
 	for _, c := range codecs {
 		switch c = strings.TrimSpace(c); c {
 		case "json":
-			body, err := json.Marshal(svc.UploadRequest{EdgeList: graph.FormatEdgeList(g)})
+			body, err := json.Marshal(svc.UploadRequest{EdgeList: string(graph.FormatEdgeList(g))})
 			if err != nil {
 				log.Fatalf("qload: encoding json body: %v", err)
 			}

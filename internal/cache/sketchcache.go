@@ -1,12 +1,12 @@
-// The sketch-serving layer: a bounded LRU cache of distance skeletons
-// with single-flight deduplication, so a deployment serving many
-// concurrent diameter/radius/eccentricity queries against a fixed
-// topology builds each sketch once and answers the rest from memory.
+// Package cache is the sketch-serving layer: a bounded LRU cache of
+// distance skeletons with single-flight deduplication, so a deployment
+// serving many concurrent diameter/radius/eccentricity queries against
+// a fixed topology builds each sketch once and answers the rest from
+// memory.
 // Entries are keyed by the full query identity — graph digest, source
 // set, hop budget ℓ, sparsification k, and rounding ε — matching the
 // parameter tuple of Lemma 3.2.
-
-package server
+package cache
 
 import (
 	"container/list"
@@ -107,7 +107,7 @@ func (c *SketchCache) Skeleton(g *graph.Graph, s []int, l, k int, eps dist.Eps) 
 		c.mu.Unlock()
 		<-e.ready
 		if e.sk == nil {
-			panic("server: sketch build failed on the deduplicated flight (invalid query)")
+			panic("cache: sketch build failed on the deduplicated flight (invalid query)")
 		}
 		return e.sk
 	}

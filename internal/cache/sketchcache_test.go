@@ -1,4 +1,4 @@
-package server
+package cache
 
 import (
 	"math/rand"

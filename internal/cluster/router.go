@@ -1,8 +1,8 @@
 package cluster
 
-// The digest-routing reverse proxy. Uploads are parsed just far enough
-// to learn the graph's digest (the same codecs and generators the
-// daemons use, so router and daemon can never disagree about identity),
+// The digest-routing reverse proxy. Uploads are decoded to learn the
+// graph's digest (svc.DecodeUpload, the daemons' own decoder, so router
+// and daemon can never disagree about identity or about a rejection),
 // the ring maps the digest to a shard, and the request forwards to the
 // shard leader — or is shed with 503 + Retry-After when the leader is
 // down, because acknowledging a write no leader fsynced would break the
@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"sort"
 	"strconv"
@@ -28,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qcongest/internal/graph"
 	"qcongest/internal/svc"
 )
 
@@ -155,6 +153,7 @@ type Router struct {
 	state   atomic.Pointer[topoState]
 	topoMu  sync.Mutex // serializes state rewrites (supervisor, Reload)
 	client  *http.Client
+	ids     *svc.RequestIDs
 	start   time.Time
 	healthy atomic.Bool
 	stop    chan struct{}
@@ -182,6 +181,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:    cfg,
 		client: cfg.Client,
+		ids:    svc.NewRequestIDs(),
 		start:  time.Now(),
 		stop:   make(chan struct{}),
 	}
@@ -270,10 +270,20 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	if code == http.StatusServiceUnavailable && w.Header().Get("Retry-After") == "" {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, svc.ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, code, svc.ErrorResponse{
+		Error:     fmt.Sprintf(format, args...),
+		RequestID: w.Header().Get("X-Request-Id"),
+	})
 }
 
+// ServeHTTP resolves the request's correlation ID by the daemons' rule
+// and sets it on the response before routing, so the router's own
+// answers carry it too. The resolved ID also replaces the inbound
+// header, so every backend attempt, failovers included, forwards it.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	id := rt.ids.Resolve(r)
+	r.Header.Set("X-Request-Id", id)
+	w.Header().Set("X-Request-Id", id)
 	path := r.URL.Path
 	switch {
 	case path == "/healthz":
@@ -333,9 +343,9 @@ type proxied struct {
 	body   []byte
 }
 
-// forward sends one request to one daemon and buffers the answer. A
-// client's X-Request-Id goes along, so the daemon logs and echoes the
-// client's ID instead of minting its own.
+// forward sends one request to one daemon and buffers the answer. The
+// request's X-Request-Id goes along, so the daemon logs and echoes the
+// router's ID instead of minting its own.
 func (rt *Router) forward(ctx context.Context, p *peer, method, uri string, hdr http.Header, body []byte) (*proxied, error) {
 	p.forwards.Add(1)
 	req, err := http.NewRequestWithContext(ctx, method, p.url+uri, bytes.NewReader(body))
@@ -363,7 +373,10 @@ func (rt *Router) forward(ctx context.Context, p *peer, method, uri string, hdr 
 	if int64(len(b)) > limit {
 		// Never relay a truncated body under the backend's status: the
 		// oversized answer is a peer error, and the client gets a 502.
-		eb, _ := json.Marshal(svc.ErrorResponse{Error: fmt.Sprintf("node %s answered more than %d bytes", p.url, limit)})
+		eb, _ := json.Marshal(svc.ErrorResponse{
+			Error:     fmt.Sprintf("node %s answered more than %d bytes", p.url, limit),
+			RequestID: hdr.Get("X-Request-Id"),
+		})
 		resp.StatusCode, resp.Header, b = http.StatusBadGateway, http.Header{"Content-Type": {"application/json"}}, eb
 	}
 	if resp.StatusCode >= 500 {
@@ -468,13 +481,14 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	digest, code, err := rt.uploadDigest(r.Header.Get("Content-Type"), body)
-	if err != nil {
-		writeError(w, code, "%v", err)
+	g, _, serr := svc.DecodeUpload(r.Header.Get("Content-Type"), bytes.NewReader(body), int64(len(body)),
+		svc.UploadLimits{MaxNodes: rt.cfg.MaxNodes, MaxEdges: rt.cfg.MaxEdges, MaxBodyBytes: rt.cfg.MaxBodyBytes})
+	if serr != nil {
+		writeError(w, serr.Code, "%s", serr.Message)
 		return
 	}
 	st := rt.state.Load()
-	shard := st.ring.shardFor(digest)
+	shard := st.ring.shardFor(g.Digest())
 	stats := st.stats[shard]
 	leader := st.leaderOf(shard)
 	shed := func(reason string) {
@@ -505,57 +519,6 @@ func querySuffix(r *http.Request) string {
 		return ""
 	}
 	return "?" + r.URL.RawQuery
-}
-
-// uploadDigest parses an upload body exactly as the daemons would —
-// raw binary, raw edge list, or the JSON wrapper with an edge list or
-// generator spec — and returns the graph digest that decides placement.
-func (rt *Router) uploadDigest(contentType string, body []byte) (uint64, int, error) {
-	var g *graph.Graph
-	var err error
-	switch mediaTypeOf(contentType) {
-	case "application/x-qcongest-graph":
-		g, err = graph.ParseBinaryLimits(body, rt.cfg.MaxNodes, rt.cfg.MaxEdges)
-	case "application/x-qcongest-edgelist":
-		g, err = graph.ParseEdgeListLimits(body, rt.cfg.MaxNodes, rt.cfg.MaxEdges)
-	default:
-		var req svc.UploadRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if derr := dec.Decode(&req); derr != nil {
-			return 0, http.StatusBadRequest, fmt.Errorf("bad request body: %w", derr)
-		}
-		switch {
-		case (len(req.EdgeList) == 0) == (req.Gen == nil):
-			return 0, http.StatusBadRequest, fmt.Errorf("set exactly one of \"edgelist\" and \"gen\"")
-		case len(req.EdgeList) > 0:
-			g, err = graph.ParseEdgeListLimits(req.EdgeList, rt.cfg.MaxNodes, rt.cfg.MaxEdges)
-		default:
-			if serr := svc.CheckGenSize(req.Gen, rt.cfg.MaxNodes, rt.cfg.MaxEdges); serr != nil {
-				return 0, http.StatusRequestEntityTooLarge, serr
-			}
-			g, err = svc.GenerateGraph(req.Gen)
-		}
-	}
-	if err != nil {
-		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "exceeds limit") {
-			code = http.StatusRequestEntityTooLarge
-		}
-		return 0, code, err
-	}
-	return g.Digest(), 0, nil
-}
-
-func mediaTypeOf(v string) string {
-	if v == "" {
-		return ""
-	}
-	mt, _, err := mime.ParseMediaType(v)
-	if err != nil {
-		return strings.ToLower(strings.TrimSpace(v))
-	}
-	return mt
 }
 
 // handleGraphRead routes every /v1/graphs/{digest}[...] request —

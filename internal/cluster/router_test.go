@@ -734,9 +734,100 @@ func TestRouterValidation(t *testing.T) {
 	}
 }
 
-// TestRouterForwardsRequestID: a client-supplied X-Request-Id crosses
-// the router hop, so the daemon answers under the client's ID instead
-// of minting a fresh one, for writes and reads alike.
+// TestRouterUploadParity: the router decodes uploads with the daemon's
+// own svc.DecodeUpload, so every body draws the same status and error
+// text through a router as from a bare daemon, and on success the same
+// digest. The bare daemon and the one behind the router share a config
+// and see the bodies in the same order.
+func TestRouterUploadParity(t *testing.T) {
+	cfg := svc.Config{MaxNodes: 128, MaxEdges: 256, MaxBodyBytes: 1 << 16}
+	bare, behind := startNode(t, cfg), startNode(t, cfg)
+	topo, err := cluster.ParseTopology(behind.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := cluster.NewRouter(cluster.Config{Topology: topo, ProbeEvery: time.Hour,
+		MaxNodes: cfg.MaxNodes, MaxEdges: cfg.MaxEdges, MaxBodyBytes: cfg.MaxBodyBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ts := httptest.NewServer(rt)
+	defer ts.Close()
+
+	g := graph.Grid(6, 7)
+	text := graph.FormatEdgeList(g)
+	jsonEdges, _ := json.Marshal(svc.UploadRequest{EdgeList: string(text)})
+	corrupt := graph.FormatBinary(g)
+	corrupt[len(corrupt)-1] ^= 0x40
+	big := append([]byte(nil), text...)
+	for len(big) <= 1<<16 {
+		big = append(big, "# padding comment line\n"...)
+	}
+	const (
+		bin  = "application/x-qcongest-graph"
+		edge = "application/x-qcongest-edgelist"
+		js   = "application/json"
+	)
+	type answer struct {
+		code   int
+		digest string
+		err    string
+	}
+	post := func(base string, body []byte, ct string) answer {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/graphs", ct, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			svc.UploadResponse
+			svc.ErrorResponse
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("POST %s (%s): undecodable answer: %v", base, ct, err)
+		}
+		return answer{resp.StatusCode, out.Digest, out.Error}
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		ct   string
+		code int
+	}{
+		{"binary", graph.FormatBinary(g), bin, http.StatusCreated},
+		{"text", text, edge, http.StatusOK},
+		{"json edgelist", jsonEdges, js, http.StatusOK},
+		{"json gen", []byte(`{"gen":{"kind":"spineleaf","spines":2,"leaves":3,"hosts":4,"maxW":9,"seed":7}}`), js, http.StatusCreated},
+		{"bad magic", []byte("garbage"), bin, http.StatusBadRequest},
+		{"bad crc", corrupt, bin, http.StatusBadRequest},
+		{"over limit binary header", graph.FormatBinary(graph.Path(500)), bin, http.StatusRequestEntityTooLarge},
+		{"over limit text header", graph.FormatEdgeList(graph.Path(500)), edge, http.StatusRequestEntityTooLarge},
+		{"over limit gen", []byte(`{"gen":{"kind":"path","n":500}}`), js, http.StatusRequestEntityTooLarge},
+		{"unknown gen kind", []byte(`{"gen":{"kind":"moebius","n":4}}`), js, http.StatusBadRequest},
+		{"empty json", []byte(`{}`), js, http.StatusBadRequest},
+		{"both fields", []byte(`{"edgelist":"n 2\n0 1 1\n","gen":{"kind":"path","n":4}}`), js, http.StatusBadRequest},
+		{"unknown field", []byte(`{"bogus":1}`), js, http.StatusBadRequest},
+		{"truncated json", []byte(`{"edgelist":`), js, http.StatusBadRequest},
+		{"text/plain", []byte("n 2\n0 1 1\n"), "text/plain", http.StatusBadRequest},
+		{"over body cap", big, edge, http.StatusRequestEntityTooLarge},
+	} {
+		direct, routed := post(bare.url, tc.body, tc.ct), post(ts.URL, tc.body, tc.ct)
+		if direct != routed {
+			t.Fatalf("%s: daemon answered %+v, router %+v", tc.name, direct, routed)
+		}
+		if direct.code != tc.code || (tc.code < 300) != (direct.digest != "") {
+			t.Fatalf("%s: answered %+v, want status %d", tc.name, direct, tc.code)
+		}
+	}
+}
+
+// TestRouterForwardsRequestID: the router resolves one X-Request-Id per
+// request by the daemons' rule. A client's ID crosses the router hop, so
+// the daemon answers under it, and the router's own answers and errors
+// carry it too. A request without an ID gets one minted by the router,
+// which the daemon echoes instead of minting its own.
 func TestRouterForwardsRequestID(t *testing.T) {
 	nd := startNode(t, svc.Config{})
 	topo, err := cluster.ParseTopology(nd.url)
@@ -755,34 +846,85 @@ func TestRouterForwardsRequestID(t *testing.T) {
 		getJSON(t, ts.URL+"/v1/cluster", &info)
 		return len(info.Shards) == 1 && len(info.Shards[0].Nodes) == 1 && info.Shards[0].Nodes[0].Ready
 	})
+	// A router over a dead port sheds every write.
+	deadTopo, err := cluster.ParseTopology("http://127.0.0.1:9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadRt, err := cluster.NewRouter(cluster.Config{Topology: deadTopo, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deadRt.Close()
+	dead := httptest.NewServer(deadRt)
+	defer dead.Close()
 
-	do := func(method, path, body, id string) *http.Response {
+	// send returns the answer's status and X-Request-Id, after checking
+	// that an error body echoes that ID.
+	send := func(base, method, path, body, id string) (int, string) {
 		t.Helper()
-		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Request-Id", id)
+		if id != "" {
+			req.Header.Set("X-Request-Id", id)
+		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-			resp.Body.Close()
-			t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
+		defer resp.Body.Close()
+		got := resp.Header.Get("X-Request-Id")
+		if resp.StatusCode >= 400 {
+			var e svc.ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.RequestID != got {
+				t.Fatalf("%s %s: error body %+v (%v) does not echo X-Request-Id %q", method, path, e, err, got)
+			}
 		}
-		if got := resp.Header.Get("X-Request-Id"); got != id {
-			t.Fatalf("%s %s: daemon answered under X-Request-Id %q, client sent %q", method, path, got, id)
-		}
-		return resp
+		return resp.StatusCode, got
 	}
-	resp := do(http.MethodPost, "/v1/graphs", `{"edgelist":"n 3\n0 1 2\n1 2 5\n"}`, "client-upload-0001")
-	var up svc.UploadResponse
-	err = json.NewDecoder(resp.Body).Decode(&up)
-	resp.Body.Close()
+	const edges = `{"edgelist":"n 3\n0 1 2\n1 2 5\n"}`
+	g, err := graph.ParseEdgeList([]byte("n 3\n0 1 2\n1 2 5\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	do(http.MethodGet, "/v1/graphs/"+up.Digest+"/diameter", "", "client-read-0002").Body.Close()
+	diameter := fmt.Sprintf("/v1/graphs/%016x/diameter", g.Digest())
+	for _, tc := range []struct {
+		base, method, path, body, id string
+		code                         int
+	}{
+		{ts.URL, http.MethodPost, "/v1/graphs", edges, "client-upload-0001", http.StatusCreated},
+		{ts.URL, http.MethodGet, diameter, "", "client-read-0002", http.StatusOK},
+		{ts.URL, http.MethodGet, "/healthz", "", "client-healthz-0003", http.StatusOK},
+		{ts.URL, http.MethodGet, "/v1/cluster", "", "client-cluster-0004", http.StatusOK},
+		{ts.URL, http.MethodGet, "/metrics", "", "client-metrics-0005", http.StatusOK},
+		{ts.URL, http.MethodGet, "/nope", "", "client-missing-0006", http.StatusNotFound},
+		{dead.URL, http.MethodPost, "/v1/graphs", edges, "client-shed-0007", http.StatusServiceUnavailable},
+	} {
+		code, got := send(tc.base, tc.method, tc.path, tc.body, tc.id)
+		if code != tc.code || got != tc.id {
+			t.Fatalf("%s %s: status %d under X-Request-Id %q, want %d under the client's %q",
+				tc.method, tc.path, code, got, tc.code, tc.id)
+		}
+	}
+
+	// Without a client ID, a forwarded read answers under the router's
+	// boot prefix, not the daemon's: the daemon echoed the router's ID.
+	bootOf := func(base string) string {
+		_, id := send(base, http.MethodGet, "/healthz", "", "")
+		boot, _, ok := strings.Cut(id, "-")
+		if !ok {
+			t.Fatalf("%s minted X-Request-Id %q, want <boot>-<sequence>", base, id)
+		}
+		return boot
+	}
+	routerBoot, daemonBoot := bootOf(ts.URL), bootOf(nd.url)
+	if routerBoot == daemonBoot {
+		t.Fatalf("router and daemon drew the same boot prefix %q", routerBoot)
+	}
+	if _, id := send(ts.URL, http.MethodGet, diameter, "", ""); !strings.HasPrefix(id, routerBoot+"-") {
+		t.Fatalf("forwarded read without a client ID answered under %q, want the router's %s- prefix", id, routerBoot)
+	}
 }

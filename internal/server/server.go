@@ -5,8 +5,7 @@
 // O(T·h·B) charged communication. "Server" here is the paper's proof
 // device, not a network daemon: the repository's serving layer (the
 // qcongestd HTTP service) lives in internal/svc, and the two are
-// unrelated beyond this package also hosting SketchCache, the
-// process-level skeleton cache the svc daemon serves from.
+// unrelated.
 //
 // The package provides the exact round-by-round node-ownership schedule
 // from the lemma's proof, a runner that executes a real distributed

@@ -38,7 +38,9 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
 }
 
-// StatusError is the typed error for every non-2xx response.
+// StatusError is the typed error for every non-2xx response: Client
+// returns it for the answers it receives, and DecodeUpload for the
+// answer a rejected upload gets.
 type StatusError struct {
 	// Code is the HTTP status code.
 	Code int
@@ -133,7 +135,7 @@ func (c *Client) send(method, path string, body io.Reader, contentType string, o
 // succeeds with Created == false.
 func (c *Client) Upload(g *graph.Graph) (UploadResponse, error) {
 	var out UploadResponse
-	err := c.do(http.MethodPost, "/v1/graphs", UploadRequest{EdgeList: graph.FormatEdgeList(g)}, &out)
+	err := c.do(http.MethodPost, "/v1/graphs", UploadRequest{EdgeList: string(graph.FormatEdgeList(g))}, &out)
 	return out, err
 }
 

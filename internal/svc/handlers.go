@@ -85,24 +85,37 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	})
 }
 
-// decodeBody strictly decodes a JSON request body into v (unknown
-// fields are errors). The body was already capped at cfg.MaxBodyBytes
-// by the middleware (ServeHTTP); crossing the cap is the documented
-// 413, not a generic 400.
+// decodeBody strictly decodes a JSON request body into v, answering
+// the request itself on failure.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	if err := decodeJSON(r.Body, v); err != nil {
+		writeError(w, err.Code, "%s", err.Message)
+		return false
+	}
+	return true
+}
+
+// decodeJSON strictly decodes one JSON body into v (unknown fields are
+// errors). The body was already capped at cfg.MaxBodyBytes by the
+// middleware (ServeHTTP); crossing the cap is the documented 413, not a
+// generic 400.
+func decodeJSON(body io.Reader, v any) *StatusError {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", tooBig.Limit)
-			return false
+			return bodyTooLarge(tooBig)
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+		return &StatusError{Code: http.StatusBadRequest, Message: "bad request body: " + err.Error()}
 	}
-	return true
+	return nil
+}
+
+// bodyTooLarge is the 413 for a body past the middleware's cap.
+func bodyTooLarge(err *http.MaxBytesError) *StatusError {
+	return &StatusError{Code: http.StatusRequestEntityTooLarge,
+		Message: fmt.Sprintf("request body exceeds the %d-byte limit", err.Limit)}
 }
 
 // admit acquires the given gate for the request, answering 503 on
@@ -255,110 +268,101 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 			"this node is a read-only follower; send writes to the leader at %s", rp.leader)
 		return
 	}
-	// Raw uploads skip the JSON wrapper entirely: the body IS the graph,
-	// streamed through the codec's incremental framer. Unrecognized
-	// Content-Types (including none) stay on the JSON path so pre-PR 8
-	// clients are untouched.
-	switch mediaType(r.Header.Get("Content-Type")) {
-	case ctBinaryGraph:
-		s.handleCreateGraphRaw(w, r, true)
-		return
-	case ctEdgeList:
-		s.handleCreateGraphRaw(w, r, false)
-		return
-	}
-	key := apiKeyOf(r)
-	var req UploadRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if (len(req.EdgeList) == 0) == (req.Gen == nil) {
-		writeError(w, http.StatusBadRequest, "set exactly one of \"edgelist\" and \"gen\"")
-		return
-	}
-	// Parsing and generation are cold work: admit the build gate before
-	// touching them so an upload burst is bounded at BuildSlots instead
-	// of running unadmitted (the size checks below bound one request's
-	// allocation; the gate bounds how many run at once).
+	// Decoding and generation are cold work: admit the build gate before
+	// touching the body so an upload burst is bounded at BuildSlots
+	// (the limits bound one request's allocation; the gate bounds how
+	// many run at once).
 	if !admit(w, r.Context(), s.build) {
 		return
 	}
 	defer s.build.leave()
-	var g *graph.Graph
-	var err error
-	if len(req.EdgeList) > 0 {
-		// Limits are enforced during the parse — before the adjacency
-		// allocation — so a few-byte "n 99999999999" header cannot
-		// request terabytes. EdgeListBytes already landed the body as
-		// []byte, so no string round trip happens here.
-		g, err = graph.ParseEdgeListLimits(req.EdgeList, s.cfg.MaxNodes, s.cfg.MaxEdges)
-	} else {
-		// Size-check the spec before generating, for the same reason.
-		if err := s.checkGenSize(req.Gen); err != nil {
-			writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
-			return
-		}
-		g, err = generate(req.Gen)
-	}
+	g, spec, err := DecodeUpload(r.Header.Get("Content-Type"), r.Body, r.ContentLength,
+		UploadLimits{MaxNodes: s.cfg.MaxNodes, MaxEdges: s.cfg.MaxEdges, MaxBodyBytes: s.cfg.MaxBodyBytes})
 	if err != nil {
-		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "exceeds limit") {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, "%v", err)
+		writeError(w, err.Code, "%s", err.Message)
 		return
 	}
-	s.finishCreateGraph(w, r, key, g, req.Gen)
+	s.finishCreateGraph(w, r, apiKeyOf(r), g, spec)
 }
 
-// handleCreateGraphRaw is the wire-speed upload path: the request body
-// is the graph itself in the binary or text codec, decoded straight off
-// the stream — size limits are enforced from the codec's header prefix
-// before adjacency is allocated, and at no point does a second copy of
-// the body exist (the JSON path holds the decoder buffer, the string
-// field, and the parse input simultaneously).
-func (s *Server) handleCreateGraphRaw(w http.ResponseWriter, r *http.Request, binary bool) {
-	if !admit(w, r.Context(), s.build) {
-		return
-	}
-	defer s.build.leave()
+// UploadLimits are the caps DecodeUpload enforces on one upload. The
+// daemon and the router fill them from their own configs.
+type UploadLimits struct {
+	// MaxNodes and MaxEdges bound the decoded graph; a codec header or
+	// generator spec beyond them is refused before allocation.
+	MaxNodes, MaxEdges int
+	// MaxBodyBytes is the body cap the caller enforces on the reader.
+	MaxBodyBytes int64
+}
+
+// DecodeUpload turns one POST /v1/graphs body into a graph. The daemon
+// and the router both call it, so they agree on every upload's digest,
+// status and error text. The Content-Type picks the decoder:
+//   - application/x-qcongest-graph: the binary codec;
+//   - application/x-qcongest-edgelist: the text codec, streamed;
+//   - anything else, none included: the strict JSON wrapper
+//     (UploadRequest) with exactly one of an edge list and a generator
+//     spec.
+//
+// The codecs enforce the node/edge limits from their header, and a spec
+// is size-checked, before adjacency is allocated. size is the declared
+// body length (-1 when unknown). The spec is returned for generated
+// graphs and is nil for edge lists. A failure carries the status the
+// daemon answers: 413 past the body cap or a graph limit, 400
+// otherwise.
+func DecodeUpload(contentType string, body io.Reader, size int64, lim UploadLimits) (*graph.Graph, *GenSpec, *StatusError) {
 	var g *graph.Graph
+	var spec *GenSpec
 	var err error
-	switch {
-	case binary && r.ContentLength > 0 && r.ContentLength <= s.cfg.MaxBodyBytes:
-		// The declared length is within the admitted body budget, so
-		// read into one exact-size buffer instead of letting the
-		// streaming decoder's buffer grow by doubling — at a million
-		// edges the saved reallocation copies are a measurable slice of
-		// the ingest budget. ParseBinaryLimits still enforces the
-		// node/edge limits from the prefix before graph allocation.
-		body := make([]byte, r.ContentLength)
-		if _, err = io.ReadFull(r.Body, body); err == nil {
-			g, err = graph.ParseBinaryLimits(body, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	switch mediaType(contentType) {
+	case ctBinaryGraph:
+		if size > 0 && size <= lim.MaxBodyBytes {
+			// The declared length is within the body cap, so read into
+			// one exact-size buffer instead of letting the streaming
+			// decoder's buffer grow by doubling — at a million edges the
+			// saved reallocation copies are a measurable slice of the
+			// ingest budget.
+			buf := make([]byte, size)
+			if _, err = io.ReadFull(body, buf); err == nil {
+				g, err = graph.ParseBinaryLimits(buf, lim.MaxNodes, lim.MaxEdges)
+			}
+		} else {
+			g, err = graph.DecodeBinary(body, lim.MaxNodes, lim.MaxEdges)
 		}
-	case binary:
-		g, err = graph.DecodeBinary(r.Body, s.cfg.MaxNodes, s.cfg.MaxEdges)
+	case ctEdgeList:
+		g, err = graph.DecodeEdgeList(body, lim.MaxNodes, lim.MaxEdges)
 	default:
-		g, err = graph.DecodeEdgeList(r.Body, s.cfg.MaxNodes, s.cfg.MaxEdges)
+		var req UploadRequest
+		if serr := decodeJSON(body, &req); serr != nil {
+			return nil, nil, serr
+		}
+		switch {
+		case (req.EdgeList == "") == (req.Gen == nil):
+			return nil, nil, &StatusError{Code: http.StatusBadRequest, Message: `set exactly one of "edgelist" and "gen"`}
+		case req.Gen != nil:
+			if err := checkGenSize(req.Gen, lim.MaxNodes, lim.MaxEdges); err != nil {
+				return nil, nil, &StatusError{Code: http.StatusRequestEntityTooLarge, Message: err.Error()}
+			}
+			g, err = generate(req.Gen)
+			spec = req.Gen
+		default:
+			g, err = graph.ParseEdgeListLimits([]byte(req.EdgeList), lim.MaxNodes, lim.MaxEdges)
+		}
 	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
-		code := http.StatusBadRequest
 		switch {
 		case errors.As(err, &tooBig):
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", tooBig.Limit)
-			return
+			return nil, nil, bodyTooLarge(tooBig)
 		case strings.Contains(err.Error(), "exceeds limit"):
-			code = http.StatusRequestEntityTooLarge
+			return nil, nil, &StatusError{Code: http.StatusRequestEntityTooLarge, Message: err.Error()}
 		}
-		writeError(w, code, "%v", err)
-		return
+		return nil, nil, &StatusError{Code: http.StatusBadRequest, Message: err.Error()}
 	}
-	s.finishCreateGraph(w, r, apiKeyOf(r), g, nil)
+	return g, spec, nil
 }
 
-// finishCreateGraph is the codec-independent back half of every upload:
+// finishCreateGraph is the codec-independent back half of an upload:
 // post-parse limit enforcement, tenant quota, registration, durable
 // persistence, and the response. Callers hold the build gate.
 func (s *Server) finishCreateGraph(w http.ResponseWriter, r *http.Request, key string, g *graph.Graph, genSpec *GenSpec) {
@@ -412,19 +416,10 @@ func (s *Server) finishCreateGraph(w http.ResponseWriter, r *http.Request, key s
 }
 
 // checkGenSize predicts a generator spec's output size and rejects
-// anything beyond the configured graph limits before allocation.
-// Negative or unknown-kind parameters fall through — generate reports
-// those with the generator's own message.
-func (s *Server) checkGenSize(spec *GenSpec) error {
-	return CheckGenSize(spec, s.cfg.MaxNodes, s.cfg.MaxEdges)
-}
-
-// CheckGenSize is the upload path's pre-generation size gate, exported
-// for the cluster router: anyone who must materialize a GenSpec to
-// learn its digest needs the same refuse-before-allocating bound the
-// daemon applies, or a crafted spec turns the router into the bomb the
-// daemon refuses to be.
-func CheckGenSize(spec *GenSpec, maxNodes, maxEdges int) error {
+// anything beyond the graph limits before allocation. Negative or
+// unknown-kind parameters fall through — generate reports those with
+// the generator's own message.
+func checkGenSize(spec *GenSpec, maxNodes, maxEdges int) error {
 	maxN, maxM := int64(maxNodes), int64(maxEdges)
 	// Bound every raw factor first so the size formulas below cannot
 	// overflow (products of two factors each <= 2^30 fit int64 easily).
@@ -484,13 +479,6 @@ func CheckGenSize(spec *GenSpec, maxNodes, maxEdges int) error {
 	}
 	return nil
 }
-
-// GenerateGraph materializes a generator spec exactly as POST
-// /v1/graphs with "gen" would — same generators, same seed handling,
-// same digest. Exported for the cluster router, which must compute a
-// gen upload's digest to pick its shard before any daemon has seen the
-// spec.
-func GenerateGraph(spec *GenSpec) (*graph.Graph, error) { return generate(spec) }
 
 // generate runs a GenSpec through the graph generators. The generators
 // report invalid parameters by panicking; that is recovered into a

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"sync/atomic"
 	"time"
 )
 
@@ -72,26 +73,34 @@ func (r *responseState) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// newBootID draws the daemon's boot-unique request-ID prefix.
-func newBootID() string {
+// RequestIDs resolves request correlation IDs. The daemon and the
+// router share the rule: a well-formed inbound X-Request-Id is echoed
+// (so a proxy or client-assigned ID correlates across hops), anything
+// else gets a fresh "<boot>-<sequence>" — unique per process boot,
+// monotonic within it.
+type RequestIDs struct {
+	boot string
+	seq  atomic.Uint64
+}
+
+// NewRequestIDs draws the boot-unique prefix for minted IDs.
+func NewRequestIDs() *RequestIDs {
 	var b [4]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is unheard of; fall back to a fixed
 		// prefix rather than refusing to serve.
-		return "00000000"
+		return &RequestIDs{boot: "00000000"}
 	}
-	return hex.EncodeToString(b[:])
+	return &RequestIDs{boot: hex.EncodeToString(b[:])}
 }
 
-// requestID resolves the request's correlation ID: a well-formed
-// inbound X-Request-Id is echoed (so a proxy or client-assigned ID
-// correlates across hops), anything else gets a fresh
-// "<bootID>-<sequence>" — unique per daemon boot, monotonic within it.
-func (s *Server) requestID(r *http.Request) string {
+// Resolve returns r's correlation ID: its X-Request-Id when well-formed,
+// a freshly minted one otherwise.
+func (ids *RequestIDs) Resolve(r *http.Request) string {
 	if id := r.Header.Get(requestIDHeader); validRequestID(id) {
 		return id
 	}
-	return fmt.Sprintf("%s-%08x", s.bootID, s.reqSeq.Add(1))
+	return fmt.Sprintf("%s-%08x", ids.boot, ids.seq.Add(1))
 }
 
 // validRequestID accepts 1-64 characters of [A-Za-z0-9._-] — enough

@@ -100,7 +100,8 @@ func TestGraphDownloadNegotiation(t *testing.T) {
 	}
 }
 
-// TestRawUploadErrors pins the raw path's error surface.
+// TestRawUploadErrors pins the upload error surface of the raw codecs
+// and the JSON wrapper.
 func TestRawUploadErrors(t *testing.T) {
 	server, client := newService(t, svc.Config{MaxNodes: 128, MaxEdges: 256, MaxBodyBytes: 1 << 16})
 	_ = server
@@ -123,6 +124,16 @@ func TestRawUploadErrors(t *testing.T) {
 		{"over node limit binary", graph.FormatBinary(graph.Path(500)), "application/x-qcongest-graph", http.StatusRequestEntityTooLarge, "exceeds limit"},
 		{"over node limit text", graph.FormatEdgeList(graph.Path(500)), "application/x-qcongest-edgelist", http.StatusRequestEntityTooLarge, "exceeds limit"},
 		{"bad text", []byte("not an edge list"), "application/x-qcongest-edgelist", http.StatusBadRequest, "header"},
+		{"json neither field", []byte(`{}`), "application/json", http.StatusBadRequest, "exactly one"},
+		{"json both fields", []byte(`{"edgelist":"n 2\n0 1 1\n","gen":{"kind":"path","n":4}}`), "application/json", http.StatusBadRequest, "exactly one"},
+		{"json unknown field", []byte(`{"bogus":1}`), "application/json", http.StatusBadRequest, "unknown field"},
+		{"json truncated", []byte(`{"edgelist":`), "application/json", http.StatusBadRequest, "bad request body"},
+		{"json over node limit edgelist", []byte(`{"edgelist":"n 500\n"}`), "application/json", http.StatusRequestEntityTooLarge, "exceeds limit"},
+		{"json over limit gen", []byte(`{"gen":{"kind":"path","n":500}}`), "application/json", http.StatusRequestEntityTooLarge, "exceeds the graph limits"},
+		{"json unknown gen kind", []byte(`{"gen":{"kind":"moebius","n":4}}`), "application/json", http.StatusBadRequest, "unknown generator kind"},
+		// An unknown Content-Type falls back to the JSON wrapper and
+		// reports a JSON decode error.
+		{"unknown content type", []byte("n 2\n0 1 1\n"), "text/plain", http.StatusBadRequest, "bad request body"},
 	} {
 		resp := rawPost(t, base, tc.body, tc.ct)
 		raw, _ := io.ReadAll(resp.Body)
@@ -144,57 +155,5 @@ func TestRawUploadErrors(t *testing.T) {
 	resp := rawPost(t, base, big, "application/x-qcongest-edgelist")
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
-	}
-
-	// An unknown Content-Type falls back to the JSON path and reports a
-	// JSON decode error, exactly as pre-PR 8 clients would see.
-	resp = rawPost(t, base, []byte("n 2\n0 1 1\n"), "text/plain")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown content type: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestEdgeListBytesJSON pins the one-copy JSON field type: its marshal
-// output must decode identically under encoding/json, and its unmarshal
-// must invert both its own output and stdlib-escaped content.
-func TestEdgeListBytesJSON(t *testing.T) {
-	for _, in := range []string{
-		"", "n 3\n0 1 2\n", "quote \" backslash \\ tab \t cr \r bell \x07",
-		"unicode é 世 raw bytes", "ctrl \x01\x1f",
-	} {
-		got, err := json.Marshal(svc.EdgeListBytes(in))
-		if err != nil {
-			t.Fatalf("marshal %q: %v", in, err)
-		}
-		want, _ := json.Marshal(in)
-		var viaStd string
-		if err := json.Unmarshal(got, &viaStd); err != nil || viaStd != in {
-			t.Fatalf("custom marshal of %q (%s) not stdlib-decodable: (%q, %v)", in, got, viaStd, err)
-		}
-		var back svc.EdgeListBytes
-		if err := json.Unmarshal(want, &back); err != nil || string(back) != in {
-			t.Fatalf("custom unmarshal of stdlib %s: (%q, %v)", want, back, err)
-		}
-		if err := json.Unmarshal(got, &back); err != nil || string(back) != in {
-			t.Fatalf("custom round trip of %q: (%q, %v)", in, back, err)
-		}
-	}
-	// Escaped surrogate pairs and lone surrogates decode with stdlib's
-	// leniency (replacement rune), not an error.
-	for _, tc := range []struct{ in, want string }{
-		{`"\ud83d\ude00"`, "\U0001f600"},
-		{`"\ud800x"`, "�x"},
-		{`"é\t"`, "é\t"},
-	} {
-		var got svc.EdgeListBytes
-		if err := json.Unmarshal([]byte(tc.in), &got); err != nil || string(got) != tc.want {
-			t.Fatalf("unmarshal %s: (%q, %v), want %q", tc.in, got, err, tc.want)
-		}
-	}
-	var bad svc.EdgeListBytes
-	for _, in := range []string{`"\q"`, `"\u12`, `"unterminated`, `42`} {
-		if err := json.Unmarshal([]byte(in), &bad); err == nil {
-			t.Fatalf("unmarshal %s: expected error", in)
-		}
 	}
 }

@@ -5,12 +5,12 @@
 // longer need to link the library for every lookup.
 //
 // This package is infrastructure, not paper machinery: the paper's
-// three-party Server model of Lemma 4.1 lives in internal/server (and
-// internal/server also hosts the SketchCache this daemon serves from).
+// three-party Server model of Lemma 4.1 lives in internal/server, and
+// the SketchCache this daemon serves from in internal/cache.
 // The data flow is
 //
 //	registry (digest → immutable *graph.Graph)
-//	  → server.SketchCache (bounded LRU + single-flight, keyed by
+//	  → cache.SketchCache (bounded LRU + single-flight, keyed by
 //	    digest + the full Lemma 3.2 parameter tuple)
 //	    → graph.DistWorkspace frontier kernel (the §3 distance builds)
 //
@@ -47,7 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qcongest/internal/server"
+	"qcongest/internal/cache"
 	"qcongest/internal/store"
 )
 
@@ -188,7 +188,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	reg     *registry
-	cache   *server.SketchCache
+	cache   *cache.SketchCache
 	metrics *metrics
 	build   *gate
 	query   *gate
@@ -196,10 +196,9 @@ type Server struct {
 	healthy atomic.Bool
 
 	// Middleware state (middleware.go, ratelimit.go): request-ID
-	// generation, the optional access logger, and the per-API-key
+	// resolution, the optional access logger, and the per-API-key
 	// limiter (nil when no per-key limit is configured).
-	bootID  string
-	reqSeq  atomic.Uint64
+	ids     *RequestIDs
 	logger  *slog.Logger
 	limiter *limiter
 
@@ -234,12 +233,12 @@ func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     newRegistry(cfg.MaxGraphs),
-		cache:   server.NewSketchCache(cfg.CacheCapacity),
+		cache:   cache.NewSketchCache(cfg.CacheCapacity),
 		metrics: newMetrics(),
 		build:   newGate(cfg.BuildSlots, cfg.BuildQueue),
 		query:   newGate(cfg.QuerySlots, cfg.QueryQueue),
 		start:   time.Now(),
-		bootID:  newBootID(),
+		ids:     NewRequestIDs(),
 		limiter: newLimiter(cfg.RatePerKey, cfg.RateBurst, cfg.TenantMaxGraphs),
 	}
 	if cfg.AccessLog != nil {
@@ -251,7 +250,7 @@ func newServer(cfg Config) *Server {
 
 // Cache exposes the sketch cache (the e2e suite asserts its Stats
 // counters through this).
-func (s *Server) Cache() *server.SketchCache { return s.cache }
+func (s *Server) Cache() *cache.SketchCache { return s.cache }
 
 // SetHealthy flips the /healthz answer; cmd/qcongestd marks the daemon
 // unhealthy at the start of graceful shutdown so load balancers drain
@@ -266,11 +265,11 @@ func (s *Server) SetHealthy(ok bool) { s.healthy.Store(ok) }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rs := &responseState{ResponseWriter: w, status: http.StatusOK}
-	id := s.requestID(r)
+	id := s.ids.Resolve(r)
 	rs.Header().Set(requestIDHeader, id)
 	if r.Body != nil {
 		// Capped before any parse: crossing MaxBodyBytes surfaces as a
-		// 413 from decodeBody, and no handler path reads an unbounded
+		// 413 from the decoders, and no handler path reads an unbounded
 		// body (the over-limit upload e2e pins this).
 		r.Body = http.MaxBytesReader(rs, r.Body, s.cfg.MaxBodyBytes)
 	}

@@ -4,14 +4,6 @@ package svc
 // used by the handlers and by Client, so a round trip through the
 // service is typed end to end.
 
-import (
-	"bytes"
-	"fmt"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
-)
-
 // ErrorResponse is the body of every non-2xx answer.
 type ErrorResponse struct {
 	// Error is a human-readable description of what was rejected.
@@ -78,141 +70,12 @@ type GenSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// EdgeListBytes is an edge-list graph body carried in a JSON string
-// field without ever becoming a Go string: it marshals and unmarshals
-// directly between []byte and the JSON text, so the legacy JSON upload
-// path costs one copy of the graph body instead of the three a string
-// field forces (decode to string, convert to []byte, parse). The wire
-// representation is an ordinary JSON string — existing clients are
-// unaffected.
-type EdgeListBytes []byte
-
-// MarshalJSON writes the bytes as a JSON string. Edge-list bodies are
-// ASCII ('0'-'9', spaces, newlines, optional '#' comments), so only the
-// control/quote/backslash escapes ever fire; non-ASCII bytes pass
-// through raw, which is valid for the UTF-8 inputs JSON permits.
-func (b EdgeListBytes) MarshalJSON() ([]byte, error) {
-	out := make([]byte, 0, len(b)+2)
-	out = append(out, '"')
-	for _, c := range b {
-		switch {
-		case c == '"' || c == '\\':
-			out = append(out, '\\', c)
-		case c == '\n':
-			out = append(out, '\\', 'n')
-		case c == '\r':
-			out = append(out, '\\', 'r')
-		case c == '\t':
-			out = append(out, '\\', 't')
-		case c < 0x20:
-			const hex = "0123456789abcdef"
-			out = append(out, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		default:
-			out = append(out, c)
-		}
-	}
-	return append(out, '"'), nil
-}
-
-// UnmarshalJSON reads a JSON string into the byte slice. The fast path
-// — no backslash anywhere, the shape every FormatEdgeList output
-// marshals to — is a single copy of the string contents.
-func (b *EdgeListBytes) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		*b = nil
-		return nil
-	}
-	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
-		return fmt.Errorf("edgelist: not a JSON string")
-	}
-	body := data[1 : len(data)-1]
-	if bytes.IndexByte(body, '\\') < 0 {
-		*b = append([]byte(nil), body...)
-		return nil
-	}
-	out := make([]byte, 0, len(body))
-	for i := 0; i < len(body); {
-		c := body[i]
-		if c != '\\' {
-			out = append(out, c)
-			i++
-			continue
-		}
-		if i+1 >= len(body) {
-			return fmt.Errorf("edgelist: truncated escape")
-		}
-		e := body[i+1]
-		i += 2
-		switch e {
-		case '"', '\\', '/':
-			out = append(out, e)
-		case 'b':
-			out = append(out, '\b')
-		case 'f':
-			out = append(out, '\f')
-		case 'n':
-			out = append(out, '\n')
-		case 'r':
-			out = append(out, '\r')
-		case 't':
-			out = append(out, '\t')
-		case 'u':
-			if i+4 > len(body) {
-				return fmt.Errorf("edgelist: truncated \\u escape")
-			}
-			r, err := hexRune(body[i : i+4])
-			if err != nil {
-				return err
-			}
-			i += 4
-			if utf16.IsSurrogate(r) {
-				// A high surrogate pairs with an immediately following
-				// \uXXXX low surrogate; anything else decodes as the
-				// replacement rune, matching encoding/json's leniency.
-				r2 := unicode.ReplacementChar
-				if i+6 <= len(body) && body[i] == '\\' && body[i+1] == 'u' {
-					if lo, err := hexRune(body[i+2 : i+6]); err == nil {
-						if dec := utf16.DecodeRune(r, lo); dec != unicode.ReplacementChar {
-							r2 = dec
-							i += 6
-						}
-					}
-				}
-				r = r2
-			}
-			out = utf8.AppendRune(out, r)
-		default:
-			return fmt.Errorf("edgelist: bad escape \\%c", e)
-		}
-	}
-	*b = out
-	return nil
-}
-
-func hexRune(h []byte) (rune, error) {
-	var r rune
-	for _, c := range h {
-		r <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			r |= rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			r |= rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			r |= rune(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("edgelist: bad \\u escape %q", h)
-		}
-	}
-	return r, nil
-}
-
 // UploadRequest is the body of POST /v1/graphs. Exactly one of
 // EdgeList and Gen must be set.
 type UploadRequest struct {
 	// EdgeList is a graph in the graph.ParseEdgeList wire format
 	// ("n <nodes>" header, then one "u v w" line per edge).
-	EdgeList EdgeListBytes `json:"edgelist,omitempty"`
+	EdgeList string `json:"edgelist,omitempty"`
 	// Gen generates the graph server-side instead.
 	Gen *GenSpec `json:"gen,omitempty"`
 }
@@ -445,7 +308,7 @@ type RoleResponse struct {
 }
 
 // CacheMetrics is the sketch-cache section of /metrics, mirroring
-// server.CacheStats.
+// cache.CacheStats.
 type CacheMetrics struct {
 	// Hits counts lookups answered from a completed entry.
 	Hits int64 `json:"hits"`

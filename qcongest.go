@@ -21,6 +21,7 @@ import (
 	"math/rand"
 
 	"qcongest/internal/baseline"
+	"qcongest/internal/cache"
 	"qcongest/internal/cluster"
 	"qcongest/internal/congest"
 	"qcongest/internal/core"
@@ -109,9 +110,9 @@ var (
 // skeletons with single-flight deduplication (DESIGN.md §3.6).
 type (
 	// SketchCache is the bounded, thread-safe skeleton cache.
-	SketchCache = server.SketchCache
+	SketchCache = cache.SketchCache
 	// CacheStats is a snapshot of cache effectiveness counters.
-	CacheStats = server.CacheStats
+	CacheStats = cache.CacheStats
 	// Skeleton answers approximate eccentricity queries ẽ_{G,w,i}(·).
 	Skeleton = dist.Skeleton
 	// Eps is the paper's rounding parameter ε = 1/T.
@@ -120,7 +121,7 @@ type (
 
 // Sketch-serving constructors and parameter helpers.
 var (
-	NewSketchCache = server.NewSketchCache
+	NewSketchCache = cache.NewSketchCache
 	EpsForN        = dist.EpsForN
 	BuildSkeleton  = dist.BuildSkeleton
 )
