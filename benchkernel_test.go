@@ -32,7 +32,7 @@ func BenchmarkKernelBFS(b *testing.B) {
 }
 
 // BenchmarkKernelDijkstra pins the single-source weighted query — the
-// inner loop of HopDiameter and the exact-metric memo — on the binary
+// inner loop of HopDiameter and the exact-metric memos — on the binary
 // heap.
 func BenchmarkKernelDijkstra(b *testing.B) {
 	for _, n := range []int{1024, 8192} {

@@ -116,6 +116,44 @@ func TestSeedSweepReadiness(t *testing.T) {
 	}
 }
 
+// TestHealthzNeedsReadyLeaders pins the router's readiness rule: a
+// shard counts as ready only when its leader is, so a ready follower
+// beside a down leader reads "degraded", not "ok" — a client that waits
+// for "ok" before writing must not be shed by the leader's shard.
+func TestHealthzNeedsReadyLeaders(t *testing.T) {
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"status":"draining"}`, http.StatusServiceUnavailable)
+	}))
+	defer leader.Close()
+	follower := httptest.NewServer(healthzOnly(nil))
+	defer follower.Close()
+
+	topo, err := cluster.ParseTopology(leader.URL + ";" + follower.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := cluster.NewRouter(cluster.Config{Topology: topo, ProbeEvery: time.Hour, PromoteAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ts := httptest.NewServer(rt)
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h cluster.RouterHealth
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || h.Status != "degraded" || h.Shards != 1 || h.ShardsReady != 0 || h.FollowersReady != 1 {
+		t.Fatalf("healthz with a down leader and a ready follower: code=%d %+v, want 200 degraded with 0 of 1 shards and 1 follower ready", resp.StatusCode, h)
+	}
+}
+
 // TestProbeConnectionReuse pins satellite fix 3: probeOnce must drain
 // the healthz body before closing it, or every probe abandons its
 // keep-alive connection and re-handshakes. Many sweeps against one

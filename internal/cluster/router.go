@@ -689,11 +689,13 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Epoch:         st.epoch,
 		UptimeSeconds: time.Since(rt.start).Seconds(),
 	}
-	for shard := range st.shards {
-		for _, p := range st.shards[shard] {
+	for shard, nodes := range st.shards {
+		if st.leaderOf(shard).ready.Load() {
+			h.ShardsReady++
+		}
+		for _, p := range nodes[1:] {
 			if p.ready.Load() {
-				h.ShardsReady++
-				break
+				h.FollowersReady++
 			}
 		}
 	}

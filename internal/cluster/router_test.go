@@ -370,7 +370,7 @@ func TestRouterClusterE2E(t *testing.T) {
 		return true
 	})
 	var rh cluster.RouterHealth
-	if code := getJSON(t, rts.URL+"/healthz", &rh); code != http.StatusOK || rh.Status != "ok" || rh.ShardsReady != 2 {
+	if code := getJSON(t, rts.URL+"/healthz", &rh); code != http.StatusOK || rh.Status != "ok" || rh.ShardsReady != 2 || rh.FollowersReady != 2 {
 		t.Fatalf("router healthz: code=%d %+v", code, rh)
 	}
 
@@ -479,9 +479,10 @@ func TestRouterClusterE2E(t *testing.T) {
 		t.Fatal("leader death produced no write shed in the ledger")
 	}
 
-	// Shard 0 still has a ready replica, so the router reports ok; a
-	// drain flips it to 503 regardless.
-	if code := getJSON(t, rts.URL+"/healthz", &rh); code != http.StatusOK || rh.ShardsReady != 2 {
+	// Shard 0's leader is down, so the router reports degraded even
+	// though the shard's replica still serves reads; a drain flips it
+	// to 503 regardless.
+	if code := getJSON(t, rts.URL+"/healthz", &rh); code != http.StatusOK || rh.Status != "degraded" || rh.ShardsReady != 1 || rh.FollowersReady != 2 {
 		t.Fatalf("router healthz with a dead leader but live replica: code=%d %+v", code, rh)
 	}
 	rt.SetHealthy(false)
@@ -543,6 +544,10 @@ func TestRouterClusterE2E(t *testing.T) {
 	getJSON(t, revived.url+"/healthz", &nh)
 	if nh.Replication == nil || nh.Replication.Role != "leader" || nh.Replication.Epoch != 1 {
 		t.Fatalf("promoted follower reports %+v, want leader at epoch 1", nh.Replication)
+	}
+	// Every shard has a ready leader again.
+	if code := getJSON(t, rts.URL+"/healthz", &rh); code != http.StatusOK || rh.Status != "ok" || rh.ShardsReady != 2 {
+		t.Fatalf("router healthz after promotion: code=%d %+v", code, rh)
 	}
 
 	// Writes resume: a re-upload of a shard-0 graph answers 200 through

@@ -46,14 +46,18 @@ type ClusterInfo struct {
 
 // RouterHealth answers GET /healthz on the router.
 type RouterHealth struct {
-	// Status is "ok" when every shard has a ready node, "degraded"
-	// when some shard has none (both HTTP 200 — the router itself is
-	// serving), "draining" during shutdown (HTTP 503).
+	// Status is "ok" when every shard's leader is ready, "degraded"
+	// when some shard's leader is not (both HTTP 200 — the router
+	// itself is serving), "draining" during shutdown (HTTP 503).
 	Status string `json:"status"`
 	// Shards is the configured shard count.
 	Shards int `json:"shards"`
-	// ShardsReady counts shards with at least one ready node.
+	// ShardsReady counts shards whose leader is ready, so a shard
+	// counted here accepts writes.
 	ShardsReady int `json:"shardsReady"`
+	// FollowersReady counts ready followers over all shards; a shard
+	// whose leader is down still serves reads from them.
+	FollowersReady int `json:"followersReady"`
 	// Epoch is the router's topology epoch (see ClusterInfo).
 	Epoch uint64 `json:"epoch"`
 	// UptimeSeconds is the time since the router started.

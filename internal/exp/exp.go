@@ -66,7 +66,7 @@ type ScalingPoint struct {
 // PolylogPower is the polylog exponent the cost model composes on top of
 // the theorem's n^(9/10)·D^(3/10): Algorithm 3 contributes log⁴ (rounding
 // indices × (1/ε) × ℓ's log × subround stretching) and the outer search
-// √log, as derived in DESIGN.md §4 / EXPERIMENTS.md.
+// √log, as derived in DESIGN.md §4.
 const PolylogPower = 4.5
 
 // Normalized returns Rounds with the cost model's polylog factor divided
@@ -94,7 +94,7 @@ func workload(n, d int, maxW int64, rng *rand.Rand) *graph.Graph {
 // polylog factors; the returned fit is on the polylog-normalized rounds,
 // whose slope the theorem pins at ≈ 0.9 (the classical baseline's
 // normalized slope stays 1.0 — it has no such factors to remove, see
-// EXPERIMENTS.md).
+// DESIGN.md §4 and the E2 row of §6).
 func ScalingInN(ns []int, d int, mode core.Mode, seed int64) ([]ScalingPoint, Fit, error) {
 	pts := make([]ScalingPoint, len(ns))
 	err := concurrently(len(ns), func(i int) error {

@@ -78,8 +78,8 @@ func (g *Graph) ContractUnitEdges() *Contraction {
 // + n, returning the four metric values. It is exact and intended for tests
 // and experiment harnesses on small graphs.
 func (c *Contraction) CheckSandwich(original *Graph) (dOrig, dContr, rOrig, rContr int64, ok bool) {
-	dOrig, rOrig = original.Diameter(), original.Radius()
-	dContr, rContr = c.Graph.Diameter(), c.Graph.Radius()
+	dOrig, rOrig = original.Extremes()
+	dContr, rContr = c.Graph.Extremes()
 	n := int64(original.N())
 	ok = dContr <= dOrig && dOrig <= dContr+n && rContr <= rOrig && rOrig <= rContr+n
 	return dOrig, dContr, rOrig, rContr, ok

@@ -27,12 +27,25 @@ func (g *Graph) Eccentricities() []int64 {
 
 // Diameter returns D_{G,w} = max_u e_{G,w}(u).
 func (g *Graph) Diameter() int64 {
-	return maxOf(g.Eccentricities())
+	d, _ := g.Extremes()
+	return d
 }
 
 // Radius returns R_{G,w} = min_u e_{G,w}(u).
 func (g *Graph) Radius() int64 {
-	return minOf(g.Eccentricities())
+	_, r := g.Extremes()
+	return r
+}
+
+// Extremes returns the weighted diameter D_{G,w} and radius R_{G,w}
+// together: exact, (0, 0) on at most one vertex and (Inf, Inf) on a
+// disconnected graph. See boundingExtremes for how it avoids most of
+// the n Dijkstra runs Eccentricities makes.
+func (g *Graph) Extremes() (diam, radius int64) {
+	if g.n <= 1 {
+		return 0, 0
+	}
+	return boundingExtremes(g.n, wantDiameter|wantRadius, NewDistWorkspace(g).DijkstraInto)
 }
 
 // Center returns a node with minimum eccentricity and that eccentricity.
@@ -66,27 +79,46 @@ func (g *Graph) UnweightedEccentricity(u int) int64 {
 
 // UnweightedDiameter returns D_G, the hop diameter of the underlying
 // unweighted network. This is the parameter D in the paper's round bounds.
-// It is exact, and Inf on a disconnected graph; see boundingDiameter for
+// It is exact, and Inf on a disconnected graph; see boundingExtremes for
 // how it avoids most of the n BFS runs.
 func (g *Graph) UnweightedDiameter() int64 {
 	if g.n <= 1 {
 		return 0
 	}
-	return boundingDiameter(g.n, NewDistWorkspace(g).BFSInto)
+	d, _ := boundingExtremes(g.n, wantDiameter, NewDistWorkspace(g).BFSInto)
+	return d
 }
 
-// boundingDiameter computes the exact diameter max_v e(v) of a graph on
-// n ≥ 2 vertices from the BFS runs bfs(dst, src) by eccentricity
-// bounding (Takes & Kosters, "Determining the diameter of small world
-// networks", CIKM 2011). A BFS from v with eccentricity e gives every
-// vertex w at distance d the bounds max(d, e−d) ≤ e(w) ≤ e+d. Sources
-// alternate between the vertex with the largest upper bound and the
-// unresolved vertex with the smallest lower bound, lowest index on ties,
-// and the sweep stops once max lo = max hi: that value is then the
-// diameter. A BFS fixes its source's bounds to lo = hi = e, so the
-// sweep makes progress every run and its worst case is n runs. The first
-// BFS to leave a vertex unreached returns Inf.
-func boundingDiameter(n int, bfs func(dst []int64, src int) []int64) int64 {
+// UnweightedRadius returns the radius under w* = 1.
+func (g *Graph) UnweightedRadius() int64 {
+	if g.n <= 1 {
+		return 0
+	}
+	_, r := boundingExtremes(g.n, wantRadius, NewDistWorkspace(g).BFSInto)
+	return r
+}
+
+// The extremes a boundingExtremes sweep settles before it stops.
+const (
+	wantDiameter = 1 << iota
+	wantRadius
+)
+
+// boundingExtremes computes the exact diameter max_v e(v) and radius
+// min_v e(v) of a graph on n ≥ 2 vertices from the single-source runs
+// sweep(dst, src) — BFS or Dijkstra — by eccentricity bounding (Takes &
+// Kosters, "Determining the diameter of small world networks", CIKM
+// 2011). A run from v with eccentricity e gives every vertex w at
+// distance d the bounds max(d, e−d) ≤ e(w) ≤ e+d, which hold in any
+// metric. Sources alternate between the unresolved vertex (lo < hi)
+// with the largest upper bound and the one with the smallest lower
+// bound, lowest index on ties. The sweep stops once every extreme in
+// want is settled: the diameter when max lo = max hi, the radius when
+// min lo = min hi. An extreme not in want comes back as a bound only.
+// A run fixes its source's bounds to lo = hi = e, so the sweep makes
+// progress every run and its worst case is n runs. The first run to
+// leave a vertex unreached returns (Inf, Inf).
+func boundingExtremes(n, want int, sweep func(dst []int64, src int) []int64) (diam, radius int64) {
 	lo := make([]int64, 2*n)
 	lo, hi := lo[:n], lo[n:]
 	for w := range hi {
@@ -94,33 +126,34 @@ func boundingDiameter(n int, bfs func(dst []int64, src int) []int64) int64 {
 	}
 	var d []int64
 	for pickHi := true; ; pickHi = !pickHi {
-		var maxLo int64
-		v, vHi := 0, int64(-1)
+		maxLo, maxHi, minLo, minHi := int64(0), int64(0), Inf, Inf
+		vHi, vLo := -1, -1
 		for w, h := range hi {
-			if lo[w] > maxLo {
-				maxLo = lo[w]
-			}
-			if h > vHi {
-				v, vHi = w, h
-			}
-		}
-		if maxLo == vHi {
-			return maxLo
-		}
-		if !pickHi {
-			// The smallest lower bound among unresolved vertices; the
-			// largest-hi vertex is unresolved, so one exists.
-			v = -1
-			for w := range lo {
-				if lo[w] < hi[w] && (v < 0 || lo[w] < lo[v]) {
-					v = w
+			l := lo[w]
+			maxLo, maxHi = max(maxLo, l), max(maxHi, h)
+			minLo, minHi = min(minLo, l), min(minHi, h)
+			if l < h {
+				if vHi < 0 || h > hi[vHi] {
+					vHi = w
+				}
+				if vLo < 0 || l < lo[vLo] {
+					vLo = w
 				}
 			}
 		}
-		d = bfs(d, v)
+		if (want&wantDiameter == 0 || maxLo == maxHi) && (want&wantRadius == 0 || minLo == minHi) {
+			return maxLo, minHi
+		}
+		// Some extreme is unsettled, so some vertex is unresolved and
+		// both picks exist.
+		v := vHi
+		if !pickHi {
+			v = vLo
+		}
+		d = sweep(d, v)
 		e := maxOf(d)
 		if e >= Inf {
-			return Inf
+			return Inf, Inf
 		}
 		for w, dw := range d {
 			if l := max(dw, e-dw); l > lo[w] {
@@ -131,20 +164,6 @@ func boundingDiameter(n int, bfs func(dst []int64, src int) []int64) int64 {
 			}
 		}
 	}
-}
-
-// UnweightedRadius returns the radius under w* = 1.
-func (g *Graph) UnweightedRadius() int64 {
-	r := Inf
-	ws := NewDistWorkspace(g)
-	var bfs []int64
-	for u := 0; u < g.n; u++ {
-		bfs = ws.BFSInto(bfs, u)
-		if e := maxOf(bfs); e < r {
-			r = e
-		}
-	}
-	return r
 }
 
 // HopDiameter returns H_{G,w}: the maximum over node pairs of the minimum
@@ -168,19 +187,6 @@ func maxOf(xs []int64) int64 {
 		if x > m {
 			m = x
 		}
-	}
-	return m
-}
-
-func minOf(xs []int64) int64 {
-	m := Inf
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	if len(xs) == 0 {
-		return 0
 	}
 	return m
 }

@@ -528,9 +528,10 @@ func generate(spec *GenSpec) (g *graph.Graph, err error) {
 }
 
 // handleExactMetric answers diameter/radius/eccentricity from the
-// per-graph exact-metric memo. The first touch of a graph computes all
-// eccentricities under the build gate; every later read is warm and
-// rides the query gate.
+// per-graph exact-metric memos: diameter and radius share one memo,
+// filled by the bounding sweep, and eccentricity reads another, filled
+// with the whole table. The first touch of a memo computes it under the
+// build gate; every later read of it is warm and rides the query gate.
 func (s *Server) handleExactMetric(w http.ResponseWriter, r *http.Request, e *entry, metric string) {
 	v := 0
 	if metric == "eccentricity" {
@@ -546,7 +547,11 @@ func (s *Server) handleExactMetric(w http.ResponseWriter, r *http.Request, e *en
 			return
 		}
 	}
-	g, warm := s.query, e.metricsReady()
+	warm := e.ext.isReady()
+	if metric == "eccentricity" {
+		warm = e.eccs.isReady()
+	}
+	g := s.query
 	if !warm {
 		g = s.build
 	}
@@ -560,16 +565,15 @@ func (s *Server) handleExactMetric(w http.ResponseWriter, r *http.Request, e *en
 		s.noteWarmHit(e)
 	}
 	s.touch(e, nil)
-	diam, rad, eccs := e.metrics()
 	resp := MetricResponse{Digest: e.info.Digest, Metric: metric}
 	switch metric {
 	case "diameter":
-		resp.Value = diam
+		resp.Value = e.extremes().diam
 	case "radius":
-		resp.Value = rad
+		resp.Value = e.extremes().radius
 	default:
 		resp.V = v
-		resp.Value = eccs[v]
+		resp.Value = e.eccentricities()[v]
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -108,7 +108,7 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// warmup sequentially rebuilds the exact-metric memo (and, when a
+// warmup sequentially rebuilds the exact-metric memos (and, when a
 // sketch hint was recovered, the cached skeleton) of each entry,
 // hottest first. It runs outside the admission gates: boot-time warming
 // competes with early cold traffic for CPU, not for admission slots, so
@@ -137,7 +137,8 @@ func (s *Server) warmOne(e *entry) {
 		}
 		e.prewarmed.Store(true)
 	}()
-	e.metrics()
+	e.extremes()
+	e.eccentricities()
 	if sk := e.warmSketch; sk != nil {
 		// Hints are shape-validated by the store at replay and recorded
 		// only after a successful build (handleSketch), so this should

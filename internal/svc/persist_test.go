@@ -177,17 +177,24 @@ func TestServiceWarmStart(t *testing.T) {
 	if got.Den != want.Den || fmt.Sprint(got.Eccentricities) != fmt.Sprint(want.Eccentricities) {
 		t.Fatalf("warmed sketch drifted: %+v != %+v", got, want)
 	}
-	// The exact-metric memo was pre-warmed too: a diameter read rides
-	// the query gate and lands in the warm-start ledger.
+	// Both exact-metric memos were pre-warmed too: diameter, radius and
+	// eccentricity reads ride the query gate and land in the warm-start
+	// ledger, one hit each.
 	if _, err := c2.Diameter(up.Digest); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Radius(up.Digest); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Eccentricity(up.Digest, 7); err != nil {
 		t.Fatal(err)
 	}
 	m, err := c2.Metrics()
 	if err != nil || m.Store == nil {
 		t.Fatal(err)
 	}
-	if m.Store.WarmStartHits < 2 {
-		t.Fatalf("warm-start hits = %d, want >= 2 (sketch + diameter)", m.Store.WarmStartHits)
+	if m.Store.WarmStartHits != 4 {
+		t.Fatalf("warm-start hits = %d, want 4 (sketch, diameter, radius, eccentricity)", m.Store.WarmStartHits)
 	}
 }
 

@@ -25,20 +25,21 @@ func ParseDigest(s string) (uint64, error) {
 
 // entry is one registered graph plus its lazily computed exact metrics.
 // The graph is immutable after registration — the digest names it
-// forever — so the metric memo never needs invalidation.
+// forever — so the metric memos never need invalidation.
 type entry struct {
 	g      *graph.Graph
 	digest uint64
 	info   GraphInfo
 
-	once  sync.Once
-	ready atomic.Bool // set after once ran; steers admission class
-	eccs  []int64
-	diam  int64
-	rad   int64
+	// ext memoizes the diameter and radius, settled by a few bounded
+	// Dijkstra runs (graph.Extremes); eccs memoizes the full
+	// eccentricity table, which takes all n runs. Neither fills the
+	// other.
+	ext  memo[extremes]
+	eccs memo[[]int64]
 
-	// prewarmed marks an entry whose memo (and recorded sketch, when
-	// warmSketch is non-nil) was rebuilt by the boot-time warm-start
+	// prewarmed marks an entry whose memos (and recorded sketch, when
+	// warmSketch is non-nil) were rebuilt by the boot-time warm-start
 	// pass; reads against it count as warm-start hits in /metrics.
 	prewarmed atomic.Bool
 	// warmSketch is the recovered sketch hint this entry was (or will
@@ -54,33 +55,41 @@ type entry struct {
 	persistErr error
 }
 
-// metrics returns the exact weighted eccentricities, diameter, and
-// radius, computing all three on first touch (one Eccentricities sweep
-// covers every later exact-metric read of this graph).
-func (e *entry) metrics() (diam, radius int64, eccs []int64) {
-	e.once.Do(func() {
-		e.eccs = e.g.Eccentricities()
-		e.diam = graph.Inf
-		e.rad = graph.Inf
-		var d int64
-		for _, ecc := range e.eccs {
-			if ecc > d {
-				d = ecc
-			}
-			if ecc < e.rad {
-				e.rad = ecc
-			}
-		}
-		e.diam = d
-		e.ready.Store(true)
-	})
-	return e.diam, e.rad, e.eccs
+// extremes is a graph's exact weighted diameter and radius.
+type extremes struct{ diam, radius int64 }
+
+// memo is a value computed once, on first get.
+type memo[T any] struct {
+	once  sync.Once
+	ready atomic.Bool // set after once ran; steers admission class
+	val   T
 }
 
-// metricsReady reports whether the exact metrics are already memoized
-// (a warm read). Used only to pick the admission gate, so the inherent
-// race with a concurrent first compute is harmless.
-func (e *entry) metricsReady() bool { return e.ready.Load() }
+func (m *memo[T]) get(compute func() T) T {
+	m.once.Do(func() {
+		m.val = compute()
+		m.ready.Store(true)
+	})
+	return m.val
+}
+
+// isReady reports whether the value is already memoized (a warm read).
+// Used only to pick the admission gate, so the inherent race with a
+// concurrent first compute is harmless.
+func (m *memo[T]) isReady() bool { return m.ready.Load() }
+
+// extremes returns the exact weighted diameter and radius, computing
+// both on first touch.
+func (e *entry) extremes() extremes {
+	return e.ext.get(func() extremes {
+		d, r := e.g.Extremes()
+		return extremes{d, r}
+	})
+}
+
+// eccentricities returns the exact weighted eccentricity of every
+// vertex, computing the table on first touch.
+func (e *entry) eccentricities() []int64 { return e.eccs.get(e.g.Eccentricities) }
 
 // registry is the digest-addressed store of immutable graphs.
 type registry struct {
