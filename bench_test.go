@@ -6,6 +6,7 @@
 package qcongest_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -257,7 +258,7 @@ func BenchmarkDurrHoyerMax(b *testing.B) {
 	b.ResetTimer()
 	var queries int64
 	for i := 0; i < b.N; i++ {
-		res := qsim.DurrHoyerMax(qsim.Sampled, uint64(len(vals)), func(x uint64) int64 { return vals[x] }, rng)
+		res := qsim.DurrHoyerMax(qsim.Sampled, uint64(len(vals)), func(x uint64) int64 { return vals[x] }, math.MaxInt64, rng)
 		queries = res.Queries
 	}
 	b.ReportMetric(float64(queries), "oracle-queries")

@@ -44,7 +44,7 @@ func main() {
 	for i := range vals {
 		vals[i] = rng.Int63n(1_000_000)
 	}
-	dh := qsim.DurrHoyerMax(qsim.Sampled, uint64(len(vals)), func(x uint64) int64 { return vals[x] }, rng)
+	dh := qsim.DurrHoyerMax(qsim.Sampled, uint64(len(vals)), func(x uint64) int64 { return vals[x] }, math.MaxInt64, rng)
 	var want int64
 	for _, v := range vals {
 		if v > want {

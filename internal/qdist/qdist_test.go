@@ -75,64 +75,147 @@ func TestMinimizeFindsTrueMin(t *testing.T) {
 	}
 }
 
+// searchFunc is the signature the driver's four entry points share.
+type searchFunc func(Procedure, float64, float64, qsim.Engine, *rand.Rand) (Result, error)
+
+// searches lists the four entry points of the one search driver.
+var searches = []struct {
+	name string
+	run  searchFunc
+}{
+	{"Maximize", Maximize},
+	{"Minimize", Minimize},
+	{"TopMass", TopMass},
+	{"BottomMass", BottomMass},
+}
+
+// permProc returns a procedure over a seeded permutation of 0..n-1.
+func permProc(n int, seed int64) Procedure {
+	vals := make([]int64, n)
+	for i, v := range rand.New(rand.NewSource(seed)).Perm(n) {
+		vals[i] = int64(v)
+	}
+	return linearProc(vals, 3, 2, 2)
+}
+
 func TestRoundChargingFormula(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	vals := make([]int64, 50)
 	for i := range vals {
 		vals[i] = int64(i)
 	}
 	p := linearProc(vals, 11, 4, 6)
-	res, err := Maximize(p, 0.02, 1e-6, qsim.Sampled, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := p.InitRounds + 2*p.T()*res.Iterations + p.T()*res.Evaluations
-	if res.MeasuredRounds != want {
-		t.Fatalf("MeasuredRounds = %d, want %d (ledger identity)", res.MeasuredRounds, want)
-	}
-	if res.Evaluations <= 0 || res.Iterations < 0 {
-		t.Fatalf("implausible ledger: %+v", res)
-	}
-}
-
-func TestFindAtLeastRespectsPromise(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const n = 200
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i % 10) // 10% of values are >= 9
-	}
-	misses := 0
-	for trial := 0; trial < 40; trial++ {
-		res, err := FindAtLeast(linearProc(vals, 0, 1, 1), 9, 0.1, 1e-6, qsim.Sampled, rng)
+	for _, s := range searches {
+		res, err := s.run(p, 0.02, 1e-6, qsim.Sampled, rand.New(rand.NewSource(3)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Found {
-			misses++
-			continue
+		want := p.InitRounds + 2*p.T()*res.Iterations + p.T()*res.Evaluations
+		if res.MeasuredRounds != want {
+			t.Fatalf("%s: MeasuredRounds = %d, want %d (ledger identity)", s.name, res.MeasuredRounds, want)
 		}
-		if res.Value < 9 {
-			t.Fatalf("returned value %d below threshold", res.Value)
+		if res.BudgetRounds != Budget(p, 0.02, 1e-6) {
+			t.Fatalf("%s: BudgetRounds = %d, want %d", s.name, res.BudgetRounds, Budget(p, 0.02, 1e-6))
 		}
-	}
-	if misses > 1 {
-		t.Fatalf("%d/40 runs missed despite the 10%% promise", misses)
+		if !res.Found || res.Value != vals[res.X] || res.Evaluations <= 0 || res.Iterations < 0 {
+			t.Fatalf("%s: implausible ledger: %+v", s.name, res)
+		}
 	}
 }
 
-func TestFindAtLeastImpossibleThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	vals := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	res, err := FindAtLeast(linearProc(vals, 0, 1, 1), 100, 0.5, 1e-3, qsim.Sampled, rng)
-	if err != nil {
-		t.Fatal(err)
+// TestMassSearchPromiseAndCap runs TopMass and BottomMass on both engines
+// over 128-element permutations, 30 seeds each:
+//   - with ρ = 1/8 and δ = 1e-9 the returned value must lie in the
+//     promised top (bottom) mass in at least 29 seeds;
+//   - with ρ = 1 and δ = 1/2 the cap is 3 Grover iterations, and each run
+//     must be the uncapped search (Maximize, Minimize) from the same seed
+//     cut at its first threshold check past the cap;
+//   - with ρ = 1/8 and δ = 1e-300 the cap is 225, more than the uncapped
+//     search uses, so each run must return what the uncapped search
+//     returns, in every field but BudgetRounds.
+func TestMassSearchPromiseAndCap(t *testing.T) {
+	const n, seeds = 128, 30
+	for _, e := range []qsim.Engine{qsim.Exact, qsim.Sampled} {
+		for _, c := range []struct {
+			name       string
+			mass, full searchFunc
+			inMass     func(v int64) bool
+		}{
+			{"TopMass", TopMass, Maximize, func(v int64) bool { return v >= n-n/8 }},
+			{"BottomMass", BottomMass, Minimize, func(v int64) bool { return v < n/8 }},
+		} {
+			in, cut := 0, 0
+			for seed := int64(1); seed <= seeds; seed++ {
+				p := permProc(n, seed)
+				run := func(f searchFunc, rho, delta float64) Result {
+					res, err := f(p, rho, delta, e, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				if c.inMass(run(c.mass, 1.0/8, 1e-9).Value) {
+					in++
+				}
+
+				_, iterCap := massCap(p, 1, 0.5)
+				capped, full := run(c.mass, 1, 0.5), run(c.full, 1, 0.5)
+				if capped.Iterations > full.Iterations || (capped.Iterations < full.Iterations && capped.Iterations < iterCap) {
+					t.Fatalf("engine %v %s seed %d: %d iterations against %d uncapped, cap %d", e, c.name, seed, capped.Iterations, full.Iterations, iterCap)
+				}
+				if capped.Iterations < full.Iterations {
+					cut++
+				}
+
+				_, iterCap = massCap(p, 1.0/8, 1e-300)
+				wide, full := run(c.mass, 1.0/8, 1e-300), run(c.full, 1.0/8, 1e-300)
+				if full.Iterations >= iterCap {
+					t.Fatalf("engine %v %s seed %d: the uncapped search made %d iterations, past the wide cap %d", e, c.name, seed, full.Iterations, iterCap)
+				}
+				wide.BudgetRounds, full.BudgetRounds = 0, 0
+				if wide != full {
+					t.Fatalf("engine %v %s seed %d: %+v under a cap it never reaches, want %+v", e, c.name, seed, wide, full)
+				}
+			}
+			if in < seeds-1 {
+				t.Fatalf("engine %v %s: %d/%d values inside the promised mass, want at least %d", e, c.name, in, seeds, seeds-1)
+			}
+			if cut < seeds/2 {
+				t.Fatalf("engine %v %s: a cap of 3 cut only %d/%d searches short", e, c.name, cut, seeds)
+			}
+		}
 	}
-	if res.Found {
-		t.Fatal("found an element above an impossible threshold")
-	}
-	if res.MeasuredRounds == 0 {
-		t.Fatal("no rounds charged for a failed search")
+}
+
+// TestSearchAllocGuard is an allocation-regression guard of the CI
+// workflow: a search allocates its memo oracle and, per Dürr-Høyer phase,
+// one BBHT's state, and never an object per Grover run. On a 256-element
+// permutation every entry point makes more Grover runs than its ceiling
+// allows objects, so a per-run allocation would trip it.
+func TestSearchAllocGuard(t *testing.T) {
+	const n = 256
+	p := permProc(n, 71)
+	for _, c := range []struct {
+		eng     qsim.Engine
+		ceiling float64
+	}{{qsim.Exact, 32}, {qsim.Sampled, 16}} {
+		for _, s := range searches {
+			rng := rand.New(rand.NewSource(73))
+			var runs int64
+			allocs := testing.AllocsPerRun(20, func() {
+				res, err := s.run(p, 1.0/8, 1e-9, c.eng, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs += res.Evaluations
+			})
+			runs /= 21 // AllocsPerRun adds one warm-up call
+			if runs <= int64(c.ceiling) {
+				t.Fatalf("engine %v %s: %d Grover runs per search, want more than %.0f", c.eng, s.name, runs, c.ceiling)
+			}
+			if allocs > c.ceiling {
+				t.Fatalf("engine %v %s: %.1f objects per search over domain %d, ceiling %.0f", c.eng, s.name, allocs, n, c.ceiling)
+			}
+		}
 	}
 }
 
@@ -170,34 +253,6 @@ func TestMeasuredRoundsScaleAsSqrtDomain(t *testing.T) {
 	small, large := avg(64), avg(1024)
 	if ratio := large / small; ratio > 8 {
 		t.Fatalf("rounds grew %fx over a 16x domain; want ~4x", ratio)
-	}
-}
-
-func TestMeasuredWithinBudgetTypically(t *testing.T) {
-	// A single Lemma 3.1 threshold search (FindAtLeast) must concentrate
-	// below the lemma's fixed budget when the promise rho is genuine.
-	rng := rand.New(rand.NewSource(7))
-	over := 0
-	const trials = 30
-	const n = 128
-	for i := 0; i < trials; i++ {
-		vals := make([]int64, n)
-		for j := range vals {
-			vals[j] = int64(j % 8) // 1/8 of the domain has value 7
-		}
-		res, err := FindAtLeast(linearProc(vals, 0, 2, 2), 7, 1.0/8, 1e-9, qsim.Sampled, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Found {
-			t.Fatal("search missed despite genuine promise")
-		}
-		if res.MeasuredRounds > res.BudgetRounds {
-			over++
-		}
-	}
-	if over > trials/3 {
-		t.Fatalf("measured rounds exceeded the Lemma 3.1 budget in %d/%d runs", over, trials)
 	}
 }
 

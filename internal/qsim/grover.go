@@ -246,59 +246,28 @@ type MaxResult struct {
 // DurrHoyerMax finds argmax f over [0, domain) by the Dürr-Høyer threshold
 // method: keep a threshold element, BBHT-search for a strictly better one,
 // repeat until the search fails. Expected O(√N) total oracle queries.
-func DurrHoyerMax(e Engine, domain uint64, f func(uint64) int64, rng *rand.Rand) MaxResult {
+//
+// iterCap bounds the Grover iterations: before each BBHT the threshold is
+// evaluated and the search stops, returning it, once the iterations so far
+// reach iterCap. The check runs between BBHT calls, so one call can carry
+// the total past the cap. Pass math.MaxInt64 for the uncapped search.
+func DurrHoyerMax(e Engine, domain uint64, f func(uint64) int64, iterCap int64, rng *rand.Rand) MaxResult {
 	best := uint64(rng.Int63n(int64(domain)))
 	var out MaxResult
 	out.Queries++ // initial classical evaluation of the random start
 	for {
 		bv := f(best)
+		if out.Rounds >= iterCap {
+			out.Index, out.Value = best, bv
+			return out
+		}
 		res := BBHT(e, domain, func(x uint64) bool { return f(x) > bv }, rng)
 		out.Queries += res.Queries
 		out.Rounds += res.Rounds
 		if !res.Found {
-			out.Index = best
-			out.Value = bv
+			out.Index, out.Value = best, bv
 			return out
 		}
 		best = res.Outcome
 	}
-}
-
-// DurrHoyerMin is the minimizing variant of DurrHoyerMax.
-func DurrHoyerMin(e Engine, domain uint64, f func(uint64) int64, rng *rand.Rand) MaxResult {
-	r := DurrHoyerMax(e, domain, func(x uint64) int64 { return -f(x) }, rng)
-	r.Value = -r.Value
-	return r
-}
-
-// ThresholdSearch implements the Lemma 3.1 interface: given that the
-// fraction of domain elements with f(x) >= M is at least rho (M unknown to
-// the caller), find such an element with probability >= 1-delta. It runs
-// ceil(√(ln(1/δ)/ρ)) rounds of fixed-schedule amplitude amplification: the
-// standard "repeat Grover with exponentially growing iteration counts"
-// driver, giving up after the budget implied by rho and delta.
-//
-// Marked is the predicate "f(x) >= M", supplied by the caller's Evaluation
-// procedure (classically simulated; each invocation is a charged query).
-func ThresholdSearch(e Engine, domain uint64, marked func(uint64) bool, rho, delta float64, rng *rand.Rand) SearchResult {
-	if rho <= 0 || rho > 1 {
-		rho = 1 / float64(domain)
-	}
-	if delta <= 0 || delta >= 1 {
-		delta = 1e-9
-	}
-	attempts := int(math.Ceil(math.Log(1/delta))) + 1
-	var res SearchResult
-	for a := 0; a < attempts; a++ {
-		r := BBHT(e, domain, marked, rng)
-		res.Queries += r.Queries
-		res.Rounds += r.Rounds
-		res.Measures += r.Measures
-		if r.Found {
-			res.Found = true
-			res.Outcome = r.Outcome
-			return res
-		}
-	}
-	return res
 }
