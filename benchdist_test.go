@@ -24,10 +24,11 @@ func skeletonWorkload(n int) (*graph.Graph, []int, dist.Eps) {
 	return g, s, dist.EpsForN(g.N())
 }
 
-// benchBuildSkeleton measures the steady-state single-thread build: the
-// skeleton is released after each build, so the pooled arena
-// (graph.DistWorkspace, flat rows, overlay scratch) is recycled exactly
-// as the serving layer and the core evaluator recycle it.
+// benchBuildSkeleton measures the single-thread standalone build: every
+// iteration builds a private row table (graph.DistWorkspace and the
+// sources' rows) and releases the skeleton, so only the per-set overlay
+// scratch is recycled. The sketch cache's cold build does the same work
+// but keeps its skeleton; the core evaluator shares one table instead.
 func benchBuildSkeleton(b *testing.B, n int) {
 	g, s, eps := skeletonWorkload(n)
 	b.ReportAllocs()

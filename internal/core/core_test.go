@@ -250,7 +250,7 @@ func TestCostModelCoversExecutableAlg1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if model := alg1Rounds(g.N(), g.MaxWeight(), l, eps); int64(stats.Rounds) > model+2 {
+		if model := dist.Alg1Schedule(g.N(), g.MaxWeight(), l, eps); int64(stats.Rounds) > model+2 {
 			t.Fatalf("%s: executable Algorithm 1 took %d rounds, model schedule is %d", name, stats.Rounds, model)
 		}
 	}
@@ -271,7 +271,7 @@ func TestCostModelCoversExecutableAlg3(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		d := g.UnweightedDiameter()
-		if model := alg3Rounds(g.N(), g.MaxWeight(), l, eps, len(sources), d); int64(stats.Rounds) > model {
+		if model := dist.Alg3Schedule(g.N(), g.MaxWeight(), l, eps, len(sources), d); int64(stats.Rounds) > model {
 			t.Fatalf("%s: executable Algorithm 3 took %d rounds, model schedule is %d", name, stats.Rounds, model)
 		}
 	}
@@ -331,5 +331,38 @@ func TestResultLedgerConsistency(t *testing.T) {
 	}
 	if res.TheoremBound <= 0 {
 		t.Error("theorem bound missing")
+	}
+}
+
+// TestExactValueExtremes checks the one exhaustive scan over a set,
+// exactValue, on a unit-weight path with every vertex in S: the
+// diameter side must return an endpoint with ẽ in [D, (1+ε)·D], the
+// radius side the center with ẽ in [R, (1+ε)·R], both over the
+// skeleton's denominator.
+func TestExactValueExtremes(t *testing.T) {
+	g := graph.Path(9)
+	all := make([]int, g.N())
+	for i := range all {
+		all[i] = i
+	}
+	params := Params{N: g.N(), L: g.N(), K: 2, Eps: dist.EpsForN(g.N())}
+	e := newEvaluator(g, params, Options{}, rand.New(rand.NewSource(1)))
+	T := params.Eps.T
+	for _, c := range []struct {
+		mode    Mode
+		want    int64
+		witness func(int) bool
+	}{
+		{DiameterMode, g.Diameter(), func(w int) bool { return w == 0 || w == g.N()-1 }},
+		{RadiusMode, g.Radius(), func(w int) bool { return w == 4 }},
+	} {
+		num, den, w := e.exactValue(all, c.mode)
+		// num/den in [want, (1+1/T)·want], cross-multiplied.
+		if num < c.want*den || num*T > (T+1)*c.want*den {
+			t.Errorf("%v: value %d/%d outside [%d, (1+ε)·%d]", c.mode, num, den, c.want, c.want)
+		}
+		if !c.witness(w) {
+			t.Errorf("%v: witness %d is not an extremal vertex of the path", c.mode, w)
+		}
 	}
 }

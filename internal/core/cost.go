@@ -7,38 +7,10 @@ import (
 )
 
 // Cost model for the three procedures of Lemma 3.5 and the outer search of
-// Theorem 1.1. The schedule formulas live in internal/dist next to the
-// executable procedures they describe (the thin wrappers below keep this
-// file's naming); integration tests check the executable procedures stay
-// within these schedules.
-
-// alg1Rounds is the fixed schedule of Algorithm 1: one (1+2T)ℓ + 2 round
-// phase per rounding index.
-func alg1Rounds(n int, w int64, l int, eps dist.Eps) int64 {
-	return dist.Alg1Schedule(n, w, l, eps)
-}
-
-// alg3Rounds is the fixed schedule of Algorithm 3 with b sources: the
-// Algorithm 1 schedule plus the maximum random delay, all stretched by
-// C = ⌈log2 n⌉ subrounds, plus the O(D + b) leader broadcast of delays.
-func alg3Rounds(n int, w int64, l int, eps dist.Eps, b int, d int64) int64 {
-	return dist.Alg3Schedule(n, w, l, eps, b, d)
-}
-
-// embedRounds is the Algorithm 4 schedule: each of the b skeleton nodes
-// broadcasts its k shortest overlay edges, O(D + b·k) rounds by pipelined
-// dissemination.
-func embedRounds(d int64, b, k int) int64 {
-	return dist.EmbedSchedule(d, b, k)
-}
-
-// overlaySSSPRounds is the Algorithm 5 schedule: T' logical rounds of
-// Algorithm 1 on the overlay network (hop budget ℓ' = ⌈4b/k⌉, weights up
-// to n·W), each implemented by a global broadcast of O(D + a) rounds, plus
-// the total broadcast volume O(b·log n).
-func overlaySSSPRounds(n int, w int64, b, k int, eps dist.Eps, d int64) int64 {
-	return dist.OverlaySchedule(n, w, b, k, eps, d)
-}
+// Theorem 1.1. The per-algorithm schedule formulas live in internal/dist
+// (dist/alg.go) next to the executable procedures they describe;
+// innerCosts below is the one place they are composed into T0/T1/T2, and
+// integration tests check the executable procedures stay within them.
 
 // InnerCosts is the Lemma 3.5 decomposition for one index i: the fixed
 // schedules of Initialization_i (T0), Setup_i (T1), and Evaluation_i (T2).
@@ -58,8 +30,8 @@ func (p Params) innerCosts(b int) InnerCosts {
 		b = 1
 	}
 	return InnerCosts{
-		T0: alg3Rounds(p.N, p.W, p.L, p.Eps, b, p.D) + embedRounds(p.D, b, p.K),
-		T1: (p.D + int64(b)) + p.D + overlaySSSPRounds(p.N, p.W, b, p.K, p.Eps, p.D),
+		T0: dist.Alg3Schedule(p.N, p.W, p.L, p.Eps, b, p.D) + dist.EmbedSchedule(p.D, b, p.K),
+		T1: (p.D + int64(b)) + p.D + dist.OverlaySchedule(p.N, p.W, b, p.K, p.Eps, p.D),
 		T2: p.D,
 	}
 }

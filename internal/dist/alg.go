@@ -1,175 +1,13 @@
-// The composed distance algorithm of Lemma 3.5: for one sampled set S_i,
-// the three-procedure decomposition (Initialization_i, Setup_i,
-// Evaluation_i) with its fixed round schedules, plus a deterministic
-// runner that evaluates f(i) = opt_{s in S_i} ẽ_{G,w,i}(s) exhaustively.
-// RunAlg is the classical reference implementation the quantum search of
-// internal/qdist is measured against: internal/core plugs the same
-// schedules and the same skeleton values into Lemma 3.1, replacing the
-// exhaustive scan by amplitude amplification.
+// The fixed round schedules of the Lemma 3.5 decomposition, one per
+// procedure: Algorithm 1 (bounded-hop SSSP), Algorithm 3 (its
+// multi-source stagger), Algorithm 4 (the overlay embedding) and
+// Algorithm 5 (SSSP on the overlay). These are the single source of
+// truth: internal/core's cost model (core/cost.go) composes them into
+// the T0/T1/T2 schedules it charges inside the quantum search, and the
+// parity tests in core check the executable RunAlg1/RunAlg3 never
+// exceed them.
 
 package dist
-
-import (
-	"fmt"
-
-	"qcongest/internal/graph"
-)
-
-// Objective selects which extremum of ẽ over the set RunAlg reports.
-type Objective int
-
-// Objectives: Maximize is the diameter side of Theorem 1.1 (f(i) is a
-// max of approximate eccentricities), Minimize the radius side.
-const (
-	Maximize Objective = iota
-	Minimize
-)
-
-// String returns the objective name ("maximize" or "minimize").
-func (o Objective) String() string {
-	if o == Minimize {
-		return "minimize"
-	}
-	return "maximize"
-}
-
-// Procedure is the Lemma 3.5 procedure triple for one set S_i on a
-// network, with the fixed round schedules of its three phases. Build it
-// with NewProcedure, which derives the schedules from the network and
-// parameters exactly as internal/core's cost model does.
-type Procedure struct {
-	// G is the network.
-	G *graph.Graph
-	// Sources is the set S_i the procedure evaluates over.
-	Sources []int
-	// L, K, Eps are the Eq. (1) parameters ℓ, k, ε.
-	L, K int
-	Eps  Eps
-
-	// InitRounds is T0: the Initialization_i schedule (Algorithm 3
-	// multi-source SSSP plus the Algorithm 4 overlay embedding), charged
-	// once per search.
-	InitRounds int64
-	// SetupRounds is T1: the Setup_i schedule (collect S_i, broadcast
-	// state, Algorithm 5 overlay SSSP), charged per coherent evaluation.
-	SetupRounds int64
-	// EvalRounds is T2: the Evaluation_i schedule (local combine and
-	// O(D) converge-cast).
-	EvalRounds int64
-}
-
-// NewProcedure assembles the Lemma 3.5 procedure for the set s with
-// parameters (l, k, eps), computing the fixed T0/T1/T2 schedules from
-// the network's size, maximum weight, and unweighted diameter.
-func NewProcedure(g *graph.Graph, s []int, l, k int, eps Eps) (Procedure, error) {
-	if g.N() < 1 {
-		return Procedure{}, fmt.Errorf("dist: empty network")
-	}
-	if len(s) == 0 {
-		return Procedure{}, fmt.Errorf("dist: empty source set")
-	}
-	for _, v := range s {
-		if v < 0 || v >= g.N() {
-			return Procedure{}, fmt.Errorf("dist: source %d out of range [0,%d)", v, g.N())
-		}
-	}
-	if l < 1 {
-		l = 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	if eps.T < 1 {
-		eps.T = 1
-	}
-	n, w, b := g.N(), maxW(g), len(s)
-	d := g.UnweightedDiameter()
-	p := Procedure{G: g, Sources: s, L: l, K: k, Eps: eps}
-	p.InitRounds = Alg3Schedule(n, w, l, eps, b, d) + EmbedSchedule(d, b, k)
-	p.SetupRounds = (d + int64(b)) + d + OverlaySchedule(n, w, b, k, eps, d)
-	p.EvalRounds = d
-	return p, nil
-}
-
-// T returns the per-evaluation schedule T1 + T2.
-func (p Procedure) T() int64 { return p.SetupRounds + p.EvalRounds }
-
-// Validate checks the procedure is runnable.
-func (p Procedure) Validate() error {
-	if p.G == nil || p.G.N() < 1 {
-		return fmt.Errorf("dist: procedure has no network")
-	}
-	if len(p.Sources) == 0 {
-		return fmt.Errorf("dist: procedure has an empty source set")
-	}
-	for _, v := range p.Sources {
-		if v < 0 || v >= p.G.N() {
-			return fmt.Errorf("dist: procedure source %d out of range [0,%d)", v, p.G.N())
-		}
-	}
-	if p.InitRounds < 0 || p.SetupRounds < 0 || p.EvalRounds < 0 {
-		return fmt.Errorf("dist: negative round schedule")
-	}
-	return nil
-}
-
-// Result reports one RunAlg evaluation.
-type Result struct {
-	// Witness is the vertex in S_i achieving the extremum.
-	Witness int
-	// Num over Den is the extremal ẽ value as an exact rational.
-	Num, Den int64
-	// Value is Num/Den as a float64.
-	Value float64
-	// Evaluations counts skeleton queries (|S_i| for the exhaustive
-	// classical scan).
-	Evaluations int
-	// Rounds is the charged schedule T0 + |S_i|·(T1+T2): the classical
-	// sequential cost the Lemma 3.1 search replaces by
-	// T0 + O(√(log(1/δ)·|S_i|))·(T1+T2).
-	Rounds int64
-}
-
-// RunAlg runs the Lemma 3.5 algorithm classically: it builds the
-// skeleton of p.Sources and scans every s in S_i for the extremal
-// approximate eccentricity, charging the full sequential schedule. The
-// returned rational never undershoots the true extremum over S_i of
-// e_{G,w}(s) (for Maximize; for Minimize it never undershoots the true
-// radius when S_i contains a center).
-func RunAlg(p Procedure, obj Objective) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	sk := BuildSkeleton(p.G, p.Sources, p.L, p.K, p.Eps)
-	defer sk.Release()
-	witness := p.Sources[0]
-	best := sk.ApproxEccentricity(witness)
-	for _, s := range p.Sources[1:] {
-		v := sk.ApproxEccentricity(s)
-		if (obj == Maximize && v > best) || (obj == Minimize && v < best) {
-			best, witness = v, s
-		}
-	}
-	res := Result{
-		Witness:     witness,
-		Num:         best,
-		Den:         sk.DenOut,
-		Evaluations: len(p.Sources),
-		Rounds:      p.InitRounds + int64(len(p.Sources))*p.T(),
-	}
-	if best >= graph.Inf {
-		res.Value = float64(graph.Inf)
-	} else {
-		res.Value = float64(best) / float64(sk.DenOut)
-	}
-	return res, nil
-}
-
-// The fixed schedules of the Lemma 3.5 decomposition. These are the
-// single source of truth: internal/core's cost model (core/cost.go)
-// charges them inside the quantum search by delegating here, and the
-// parity tests in core verify the executable procedures above never
-// exceed them.
 
 // Alg1Schedule is the fixed Algorithm 1 schedule: (i_max+1) scales of
 // (1+2T)ℓ + 2 rounds each.

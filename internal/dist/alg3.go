@@ -8,7 +8,7 @@
 // leader's pipelined O(D + b)-round dissemination of the delay vector.
 //
 // As with Algorithm 1 the overall schedule is a fixed constant of
-// (n, W, ℓ, ε, b, D) — exactly the alg3Rounds formula internal/core
+// (n, W, ℓ, ε, b, D) — exactly the Alg3Schedule formula internal/core
 // charges — and unused rounds are idle padding.
 
 package dist

@@ -185,42 +185,6 @@ func TestSkeletonSubsetNeverUndershoots(t *testing.T) {
 	}
 }
 
-func TestSkeletonMassInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := graph.RandomWeights(graph.RandomConnected(18, 40, rng), 7, rng)
-	s := []int{0, 3, 5, 9, 12, 17}
-	sk := BuildSkeleton(g, s, g.N(), 3, EpsForN(g.N()))
-
-	lo, hi := sk.ApproxEccentricity(s[0]), sk.ApproxEccentricity(s[0])
-	for _, v := range s[1:] {
-		e := sk.ApproxEccentricity(v)
-		if e < lo {
-			lo = e
-		}
-		if e > hi {
-			hi = e
-		}
-	}
-	if TopMass(sk, lo) != 1 || BottomMass(sk, hi) != 1 {
-		t.Fatalf("extremal thresholds must capture full mass: top=%v bottom=%v",
-			TopMass(sk, lo), BottomMass(sk, hi))
-	}
-	prev := 2.0
-	for _, thr := range []int64{lo, (lo + hi) / 2, hi, hi + 1} {
-		top := TopMass(sk, thr)
-		if top > prev {
-			t.Fatalf("TopMass not non-increasing at threshold %d", thr)
-		}
-		prev = top
-		if top+BottomMass(sk, thr) < 1 {
-			t.Fatalf("mass split below 1 at threshold %d: %v + %v", thr, top, BottomMass(sk, thr))
-		}
-	}
-	if TopMass(sk, hi+1) != 0 {
-		t.Fatalf("TopMass above the maximum must be 0")
-	}
-}
-
 func TestBFSTreeMatchesBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cases := []*graph.Graph{
@@ -372,72 +336,5 @@ func TestRunAlg3Validation(t *testing.T) {
 	}
 	if _, _, err := RunAlg3(g, []int{0}, []int{1 << 20}, 2, eps, congest.Options{}); err == nil {
 		t.Error("oversized delay accepted")
-	}
-}
-
-func TestRunAlgObjectives(t *testing.T) {
-	// On a weighted path with every vertex in S, the maximizer must be an
-	// endpoint-equivalent vertex (ẽ ≈ diameter) and the minimizer a
-	// center-equivalent one (ẽ ≈ radius).
-	g := graph.Path(9)
-	all := make([]int, g.N())
-	for i := range all {
-		all[i] = i
-	}
-	eps := EpsForN(g.N())
-	p, err := NewProcedure(g, all, g.N(), 2, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.InitRounds <= 0 || p.SetupRounds <= 0 || p.EvalRounds <= 0 {
-		t.Fatalf("degenerate schedules: %+v", p)
-	}
-
-	maxRes, err := RunAlg(p, Maximize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	minRes, err := RunAlg(p, Minimize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diam, radius := float64(g.Diameter()), float64(g.Radius())
-	if maxRes.Value < diam || maxRes.Value > diam*(1+eps.Float())+1e-9 {
-		t.Errorf("Maximize value %.4f outside [%v, (1+ε)·%v]", maxRes.Value, diam, diam)
-	}
-	if minRes.Value < radius || minRes.Value > radius*(1+eps.Float())+1e-9 {
-		t.Errorf("Minimize value %.4f outside [%v, (1+ε)·%v]", minRes.Value, radius, radius)
-	}
-	if maxRes.Witness != 0 && maxRes.Witness != g.N()-1 {
-		t.Errorf("Maximize witness %d is not a path endpoint", maxRes.Witness)
-	}
-	if minRes.Witness != g.N()/2 {
-		t.Errorf("Minimize witness %d is not the path center", minRes.Witness)
-	}
-	if maxRes.Rounds != p.InitRounds+int64(len(all))*p.T() {
-		t.Errorf("Rounds ledger %d != T0 + b·(T1+T2) = %d", maxRes.Rounds, p.InitRounds+int64(len(all))*p.T())
-	}
-	if maxRes.Evaluations != len(all) {
-		t.Errorf("Evaluations %d != |S| = %d", maxRes.Evaluations, len(all))
-	}
-}
-
-func TestNewProcedureValidation(t *testing.T) {
-	g := graph.Path(4)
-	eps := Eps{T: 2}
-	if _, err := NewProcedure(g, nil, 2, 1, eps); err == nil {
-		t.Error("empty set accepted")
-	}
-	if _, err := NewProcedure(g, []int{7}, 2, 1, eps); err == nil {
-		t.Error("out-of-range source accepted")
-	}
-	if _, err := RunAlg(Procedure{}, Maximize); err == nil {
-		t.Error("zero procedure accepted")
-	}
-	// A hand-built Procedure (the fields are exported) must be range
-	// checked by Validate, not fail by panic inside BuildSkeleton.
-	bad := Procedure{G: g, Sources: []int{7}, L: 1, K: 1, Eps: eps}
-	if _, err := RunAlg(bad, Maximize); err == nil {
-		t.Error("hand-built procedure with out-of-range source accepted")
 	}
 }

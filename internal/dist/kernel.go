@@ -35,60 +35,19 @@ type RowTable struct {
 	imax   int   // hoisted scale count: rounding scales run 0..imax
 	cap64  int64 // per-scale prune bound (1+2T)·ℓ
 
-	mu   sync.Mutex
-	bufs *tableBuffers
-}
-
-// tableBuffers is a row table's arena: the distance workspace (CSR
-// adjacency + frontier scratch), the per-arc numerator overlay, and the
-// rows. A table built for a standalone BuildSkeleton recycles its arena
-// through tablePool when the skeleton is released, rows included, so a
-// steady-state build allocates almost nothing.
-type tableBuffers struct {
-	ws    *graph.DistWorkspace
-	wden  []int64   // per-arc w·2Tℓ numerators (scale i divides by 2^i)
-	scale []int64   // a row fill's per-scale scratch, then an ẽ query's minima
-	rowOf []int32   // vertex -> index into rows, -1 until first use
-	rows  [][]int64 // d̃^ℓ numerator rows in fill order; a released arena's rows wait past len for reuse
-}
-
-var tablePool sync.Pool
-
-// getTableBuffers returns a pooled arena bound to g. Rows of its
-// previous use that are long enough for g stay parked past len(rows)
-// for the next fills.
-func getTableBuffers(g *graph.Graph) *tableBuffers {
-	b, _ := tablePool.Get().(*tableBuffers)
-	if b == nil {
-		return &tableBuffers{ws: graph.NewDistWorkspace(g)}
-	}
-	b.ws.Reset(g)
-	n := g.N()
-	all := b.rows[:cap(b.rows)]
-	kept := 0
-	for i, r := range all {
-		all[i] = nil
-		if cap(r) >= n {
-			all[kept] = r
-			kept++
-		}
-	}
-	return b
+	mu    sync.Mutex
+	ws    *graph.DistWorkspace // CSR adjacency + frontier scratch
+	wden  []int64              // per-arc w·2Tℓ numerators (scale i divides by 2^i)
+	scale []int64              // a row fill's per-scale scratch, then an ẽ query's minima
+	rowOf []int32              // vertex -> index into rows, -1 until first use
+	rows  [][]int64            // d̃^ℓ numerator rows in fill order
 }
 
 // NewRowTable returns an empty row table for g with hop budget l and
 // rounding parameter eps. Degenerate parameters are clamped to 1. The
-// table is not pooled: it and its rows are garbage once the caller drops
-// it and every skeleton built from it.
+// table and its rows are garbage once the caller drops it and every
+// skeleton built from it.
 func NewRowTable(g *graph.Graph, l int, eps Eps) *RowTable {
-	t := &RowTable{}
-	t.init(g, l, eps, &tableBuffers{ws: graph.NewDistWorkspace(g)})
-	return t
-}
-
-// init binds t to g over the arena bufs: the per-arc numerators, the
-// scale count and the prune bound, and an empty row index.
-func (t *RowTable) init(g *graph.Graph, l int, eps Eps, bufs *tableBuffers) {
 	if l < 1 {
 		l = 1
 	}
@@ -96,59 +55,39 @@ func (t *RowTable) init(g *graph.Graph, l int, eps Eps, bufs *tableBuffers) {
 		eps.T = 1
 	}
 	n := g.N()
-	t.g, t.l, t.eps, t.denOut = g, l, eps, eps.Den(l)
+	t := &RowTable{g: g, l: l, eps: eps, denOut: eps.Den(l), ws: graph.NewDistWorkspace(g)}
 	t.cap64 = (1 + 2*eps.T) * int64(l) // scale-i values above it belong to larger scales
-	w := bufs.ws.MaxWeight()
+	w := t.ws.MaxWeight()
 	if w < 1 {
 		w = 1
 	}
 	t.imax = IMax(n, w, eps)
-	t.bufs = bufs
 
 	// Per-arc numerators w·2Tℓ, shared read-only by every source row:
 	// scale i's rounded weight ⌈w·2Tℓ/2^i⌉ becomes an add-and-shift.
-	bufs.wden = bufs.ws.ArcWeights(bufs.wden)
-	for a := range bufs.wden {
-		bufs.wden[a] *= t.denOut
+	t.wden = t.ws.ArcWeights(nil)
+	for a := range t.wden {
+		t.wden[a] *= t.denOut
 	}
-	bufs.rowOf = growInt32(bufs.rowOf, n)
-	for v := range bufs.rowOf {
-		bufs.rowOf[v] = -1
+	t.rowOf = make([]int32, n)
+	for v := range t.rowOf {
+		t.rowOf[v] = -1
 	}
-	bufs.rows = bufs.rows[:0]
+	return t
 }
 
 // row returns d̃^ℓ(v, ·), computing it on first use. Callers must hold
 // t.mu. The returned slice stays valid, and is never written again, for
 // the table's lifetime.
 func (t *RowTable) row(v int) []int64 {
-	b := t.bufs
-	if j := b.rowOf[v]; j >= 0 {
-		return b.rows[j]
+	if j := t.rowOf[v]; j >= 0 {
+		return t.rows[j]
 	}
-	n := t.g.N()
-	j := len(b.rows)
-	var r []int64
-	if j < cap(b.rows) {
-		r = b.rows[:j+1][j] // a released arena's row, or nil
-	}
-	if r == nil {
-		r = make([]int64, n)
-	}
-	r = r[:n]
+	r := make([]int64, t.g.N())
 	t.roundedRowInto(r, v)
-	b.rowOf[v] = int32(j)
-	b.rows = append(b.rows, r)
+	t.rowOf[v] = int32(len(t.rows))
+	t.rows = append(t.rows, r)
 	return r
-}
-
-// release returns the table's arena, rows included, to tablePool. Only
-// the exclusive owner may call it, with t.mu held.
-func (t *RowTable) release() {
-	b := t.bufs
-	t.bufs = nil
-	b.rows = b.rows[:0]
-	tablePool.Put(b)
 }
 
 // skelBuffers is the pooled per-set arena of one skeleton: everything
@@ -177,16 +116,15 @@ func getSkelBuffers() *skelBuffers {
 	return &skelBuffers{}
 }
 
-// Release returns the skeleton's per-set arena to the package pool and,
-// for a skeleton from BuildSkeleton, its private row table's arena too.
-// Call it only as the exclusive owner, when no queries against the
-// skeleton can follow (internal/core releases each skeleton of its row
-// table once the set's inner search is done; the sketch cache of
-// internal/server must NOT release entries it may still be serving).
-// After Release every query method of the skeleton panics.
+// Release returns the skeleton's per-set arena to the package pool; the
+// row table stays usable. Call it only as the exclusive owner, when no
+// queries against the skeleton can follow (internal/core releases each
+// skeleton of its row table once the set's inner search is done; the
+// sketch cache of internal/cache must NOT release entries it may still
+// be serving). After Release every query method of the skeleton panics.
 func (sk *Skeleton) Release() {
 	// Taking the query mutex closes the window where a misused Release
-	// races an in-flight query: the arenas are recycled only after any
+	// races an in-flight query: the arena is recycled only after any
 	// current query finishes, so the race fails loudly (nil bufs) in the
 	// racing caller instead of corrupting a later build.
 	t := sk.tab
@@ -197,15 +135,12 @@ func (sk *Skeleton) Release() {
 		return
 	}
 	sk.bufs = nil
-	// Drop the row references so the pool does not keep a shared
-	// table's rows alive after its owner drops it.
+	// Drop the row references so the pool does not keep a table's rows
+	// alive after its owner drops it.
 	for j := range b.srcRows {
 		b.srcRows[j] = nil
 	}
 	skelPool.Put(b)
-	if sk.ownsTable {
-		t.release()
-	}
 }
 
 // dedupSources returns s with duplicates removed, preserving first
@@ -237,7 +172,7 @@ func dedupSources(s []int, srcIdx []int32) []int {
 // at most ℓ hops, the scale with 2^(i-1) < d <= 2^i yields a value of
 // at most (1+ε)·d. Scale-i values above (1+2T)ℓ belong to larger
 // scales and are pruned inside the kernel, which drains small-scale
-// frontiers after a few hops. The sweeps run on the arena's workspace
+// frontiers after a few hops. The sweeps run on the table's workspace
 // and per-scale scratch.
 //
 // The scale loop stops as soon as every entry of the row is finite,
@@ -254,14 +189,13 @@ func dedupSources(s []int, srcIdx []int32) []int {
 // Algorithm 1 schedule (internal/core/cost.go) and the executable
 // RunAlg1 still count all i_max+1 scales.
 func (t *RowTable) roundedRowInto(row []int64, src int) {
-	b := t.bufs
 	for v := range row {
 		row[v] = graph.Inf
 	}
 	settled := 0
 	for i := 0; i <= t.imax && settled < len(row); i++ {
-		b.scale = b.ws.BoundedHopInto(b.scale, src, t.l, b.wden, uint(i), t.cap64)
-		for v, bh := range b.scale {
+		t.scale = t.ws.BoundedHopInto(t.scale, src, t.l, t.wden, uint(i), t.cap64)
+		for v, bh := range t.scale {
 			if bh == graph.Inf {
 				continue
 			}

@@ -27,10 +27,10 @@ import (
 // numerators over the common denominator DenOut; a numerator of
 // graph.Inf marks a pair unreachable within the hop budget.
 //
-// Query methods (ApproxEccentricity, TopMass, BottomMass) are safe for
-// concurrent use: the lazy row/eccentricity memo is guarded by the row
-// table's mutex, so a cached skeleton can serve concurrent requests
-// (see internal/server's sketch cache).
+// ApproxEccentricity is safe for concurrent use: the lazy
+// row/eccentricity memo is guarded by the row table's mutex, so a cached
+// skeleton can serve concurrent requests (see internal/cache's sketch
+// cache).
 type Skeleton struct {
 	// G is the underlying network.
 	G *graph.Graph
@@ -49,9 +49,8 @@ type Skeleton struct {
 	// skeleton returns.
 	DenOut int64
 
-	tab       *RowTable // the rows d̃^ℓ(s, ·), read in place
-	ownsTable bool      // tab is private to this skeleton (BuildSkeleton)
-	bufs      *skelBuffers
+	tab  *RowTable // the rows d̃^ℓ(s, ·), read in place
+	bufs *skelBuffers
 }
 
 // BuildSkeleton computes the Lemma 3.2 skeleton of the set s in g with
@@ -62,22 +61,13 @@ type Skeleton struct {
 // are computed (O(|S_i|·n) numerators), then the overlay is assembled
 // and sparsified to the k shortest edges per node, and overlay
 // distances between skeleton nodes are taken with the Algorithm 5 hop
-// bound ⌈4b/k⌉. The skeleton owns a private row table on a pooled
-// arena, so it computes exactly its own sources' rows (plus any vertex
-// it is queried at); Release recycles both. Callers that build many
-// skeletons over one (g, l, eps) share a NewRowTable instead. The build
-// runs on the calling goroutine; independent builds parallelize one
-// level up.
+// bound ⌈4b/k⌉. The skeleton is built over a private NewRowTable, so it
+// computes exactly its own sources' rows (plus any vertex it is queried
+// at). Callers that build many skeletons over one (g, l, eps) share a
+// table instead. The build runs on the calling goroutine; independent
+// builds parallelize one level up.
 func BuildSkeleton(g *graph.Graph, s []int, l, k int, eps Eps) *Skeleton {
-	// One allocation holds the skeleton and its private table.
-	own := &struct {
-		sk  Skeleton
-		tab RowTable
-	}{}
-	own.tab.init(g, l, eps, getTableBuffers(g))
-	own.tab.assemble(&own.sk, s, k)
-	own.sk.ownsTable = true
-	return &own.sk
+	return NewRowTable(g, l, eps).Skeleton(s, k)
 }
 
 // BuildSkeletonOpts is empty. It survives only so that
@@ -94,17 +84,17 @@ func BuildSkeletonWith(g *graph.Graph, s []int, l, k int, eps Eps, _ BuildSkelet
 // Skeleton assembles the Lemma 3.2 skeleton of the set s over the
 // table's rows, with sparsification parameter k (clamped to 1). It does
 // only the per-set work: deduplicate s, fill any of its rows the table
-// lacks, and build the Algorithm 4/5 overlay. The result equals
-// BuildSkeleton(g, s, l, k, eps) over the table's g, l and eps in every
-// field and answer.
-// Release it when its queries are done; the table stays usable.
+// lacks, and build the Algorithm 4/5 overlay. Release it when its
+// queries are done; the table stays usable.
 func (t *RowTable) Skeleton(s []int, k int) *Skeleton {
 	sk := &Skeleton{}
 	t.assemble(sk, s, k)
 	return sk
 }
 
-// assemble builds the skeleton of s into sk.
+// assemble builds the skeleton of s into sk. It is split from Skeleton
+// so that Skeleton inlines and a caller that does not keep the
+// skeleton can hold its header on the stack.
 func (t *RowTable) assemble(sk *Skeleton, s []int, k int) {
 	if k < 1 {
 		k = 1
@@ -266,9 +256,9 @@ func (sk *Skeleton) ApproxEccentricity(v int) int64 {
 	// never below best[u] <= rowV[u] <= Inf, so an Inf row entry needs
 	// no test and the max is at most Inf. The row fills are done, so
 	// best borrows the table's scale scratch.
-	tb := sk.tab.bufs
-	tb.scale = growInt64(tb.scale, len(rowV))
-	best := tb.scale
+	tab := sk.tab
+	tab.scale = growInt64(tab.scale, len(rowV))
+	best := tab.scale
 	copy(best, rowV)
 	for t, rt := range bufs.srcRows {
 		et := entry[t]
@@ -289,38 +279,4 @@ func (sk *Skeleton) ApproxEccentricity(v int) int64 {
 	}
 	bufs.ecc[v] = ecc
 	return ecc
-}
-
-// TopMass returns the fraction of skeleton nodes s in S_i whose
-// approximate eccentricity numerator is at least num: the mass the outer
-// Lemma 3.1 search is promised on good indices (Lemma 3.4's Θ(r/n) comes
-// from this quantity aggregated over the sampled sets).
-func TopMass(sk *Skeleton, num int64) float64 {
-	if len(sk.Sources) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, s := range sk.Sources {
-		if sk.ApproxEccentricity(s) >= num {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(sk.Sources))
-}
-
-// BottomMass is the radius-side counterpart of TopMass: the fraction of
-// skeleton nodes whose approximate eccentricity numerator is at most
-// num. For any threshold, TopMass(sk, t) + BottomMass(sk, t) >= 1, with
-// equality exactly when no node sits at the threshold.
-func BottomMass(sk *Skeleton, num int64) float64 {
-	if len(sk.Sources) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, s := range sk.Sources {
-		if sk.ApproxEccentricity(s) <= num {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(sk.Sources))
 }

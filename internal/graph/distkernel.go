@@ -8,8 +8,8 @@ package graph
 // The naive per-call algorithms in shortestpath.go stay as the
 // readable reference implementations; everything that computes
 // distances from many sources (APSP, eccentricities, the skeleton
-// builds of internal/dist, the sketch-serving layer of
-// internal/server) goes through a DistWorkspace.
+// builds of internal/dist and the sketch cache over them) goes through
+// a DistWorkspace.
 //
 // Each problem has one engine, each bit-identical to its reference:
 //
@@ -65,42 +65,17 @@ type csrAdj struct {
 // workspace over it. The graph must not gain edges while the workspace
 // is in use.
 func NewDistWorkspace(g *Graph) *DistWorkspace {
-	ws := &DistWorkspace{}
-	ws.Reset(g)
-	return ws
-}
-
-// Reset rebinds the workspace to g, rebuilding the CSR adjacency in
-// place with the existing array capacity. It exists for pooled reuse
-// (internal/dist recycles skeleton build arenas through a sync.Pool):
-// a recycled workspace serves a different graph without re-allocating
-// its arrays.
-func (ws *DistWorkspace) Reset(g *Graph) {
-	adj := ws.adj
-	if adj == nil {
-		adj = &csrAdj{}
-		ws.adj = adj
-	}
 	n := g.N()
 	total := 0
 	for u := 0; u < n; u++ {
 		total += g.Degree(u)
 	}
-	adj.n = n
-	if cap(adj.head) < n+1 {
-		adj.head = make([]int32, n+1)
-	} else {
-		adj.head = adj.head[:n+1]
-		adj.head[0] = 0
+	adj := &csrAdj{
+		n:    n,
+		head: make([]int32, n+1),
+		to:   make([]int32, 0, total),
+		w:    make([]int64, 0, total),
 	}
-	if cap(adj.to) < total {
-		adj.to = make([]int32, 0, total)
-		adj.w = make([]int64, 0, total)
-	} else {
-		adj.to = adj.to[:0]
-		adj.w = adj.w[:0]
-	}
-	adj.maxW = 0
 	for u := 0; u < n; u++ {
 		for _, a := range g.Neighbors(u) {
 			adj.to = append(adj.to, int32(a.To))
@@ -111,6 +86,7 @@ func (ws *DistWorkspace) Reset(g *Graph) {
 		}
 		adj.head[u+1] = int32(len(adj.to))
 	}
+	return &DistWorkspace{adj: adj}
 }
 
 // N returns the node count of the underlying graph.
@@ -134,8 +110,7 @@ func (ws *DistWorkspace) ArcWeights(dst []int64) []int64 {
 	return dst
 }
 
-// grow helpers keep scratch capacity across calls (and across graphs of
-// different sizes when a workspace is recycled through a pool).
+// grow helpers keep scratch capacity across calls.
 func growInt64(s []int64, n int) []int64 {
 	if cap(s) < n {
 		return make([]int64, n)

@@ -153,14 +153,3 @@ func (g *Graph) APSP() [][]int64 {
 	}
 	return out
 }
-
-// HopAPSP returns the full hop-distance matrix h_{G,w}(u, v).
-func (g *Graph) HopAPSP() [][]int64 {
-	out := make([][]int64, g.n)
-	ws := NewDistWorkspace(g)
-	var d []int64
-	for s := 0; s < g.n; s++ {
-		d, out[s] = ws.DijkstraHopsInto(d, nil, s)
-	}
-	return out
-}

@@ -63,7 +63,6 @@ func (p Procedure) Validate() error {
 
 // Result reports one framework search.
 type Result struct {
-	Found bool   // the search returned an element
 	X     uint64 // the returned element
 	Value int64  // f(X)
 
@@ -173,7 +172,6 @@ func search(p Procedure, budget, iterCap int64, eng qsim.Engine, rng *rand.Rand,
 	}
 	dh := qsim.DurrHoyerMax(eng, p.Domain, f, iterCap, rng)
 	res := Result{
-		Found:        true,
 		X:            dh.Index,
 		Value:        oracle.value(dh.Index),
 		Iterations:   dh.Rounds,

@@ -116,7 +116,7 @@ func TestRoundChargingFormula(t *testing.T) {
 		if res.BudgetRounds != Budget(p, 0.02, 1e-6) {
 			t.Fatalf("%s: BudgetRounds = %d, want %d", s.name, res.BudgetRounds, Budget(p, 0.02, 1e-6))
 		}
-		if !res.Found || res.Value != vals[res.X] || res.Evaluations <= 0 || res.Iterations < 0 {
+		if res.Value != vals[res.X] || res.Evaluations <= 0 || res.Iterations < 0 {
 			t.Fatalf("%s: implausible ledger: %+v", s.name, res)
 		}
 	}
